@@ -3,7 +3,9 @@
 #   1. the tier-1 verify line from ROADMAP.md (Release build, full ctest),
 #      then a run_scenario smoke over the ci-smoke preset so the
 #      Scenario/Experiment API (full scheduler roster, tiny budgets) is
-#      exercised end to end in the gate
+#      exercised end to end in the gate, the example/bench smokes, and a
+#      traced perfbench fleet-churn run whose layer replay must still
+#      reproduce run_model bit for bit
 #   2. an ASan/UBSan Debug build of the test suite, with the nfvsim suites
 #      (threaded engine, mempool, ring) always run under the sanitizers —
 #      that's where data races and lifetime bugs would land.
@@ -176,6 +178,23 @@ echo "=== [1d] RL training microbench: smoke mode + baseline check ==="
 # cannot silently lose the batched-GEMM win but a noisy machine cannot
 # block the gate either.
 ./build/bench_train smoke=1 baseline=bench/baselines/BENCH_train.json
+
+echo
+echo "=== [1e] perfbench layer replay: traced fleet-churn must match run_model ==="
+# The traced benchmark run replays FleetOrchestrator::run_model layer by
+# layer and compares its report bit for bit with run_model's. A run_model
+# change the replay no longer reproduces reports "correct": false. The
+# gate reads only the result line, never a timing.
+perfbench_result=$(python3 perfbench/run.py --workload fleet-churn \
+  --seconds 2 --trace 1 | tail -n 1)
+echo "$perfbench_result"
+python3 - "$perfbench_result" <<'PY'
+import json, sys
+result = json.loads(sys.argv[1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("ci.sh: perfbench fleet-churn: correct=%s failed=%s"
+             % (result.get("correct"), result.get("failed")))
+PY
 
 echo
 echo "=== [2/2] sanitizer gate: ASan/UBSan Debug build ==="

@@ -2,6 +2,7 @@
 
 #include "common/assert.hpp"
 #include "common/string_util.hpp"
+#include "nfvsim/chain.hpp"
 #include "traffic/generator.hpp"
 
 namespace greennfv::core {

@@ -17,13 +17,6 @@ ServiceChain::ServiceChain(std::string name,
     rings_.push_back(std::make_unique<SpscRing<Packet*>>(ring_capacity));
 }
 
-std::vector<hwmodel::NfCostProfile> ServiceChain::cost_profiles() const {
-  std::vector<hwmodel::NfCostProfile> profiles;
-  profiles.reserve(nfs_.size());
-  for (const auto& nf : nfs_) profiles.push_back(nf->profile());
-  return profiles;
-}
-
 bool ServiceChain::process_inline(Packet& pkt) {
   for (auto& nf : nfs_) {
     if (pkt.dropped()) return false;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "hwmodel/nf_cost.hpp"
 #include "nfvsim/nf.hpp"
 #include "nfvsim/packet.hpp"
 #include "nfvsim/ring.hpp"
@@ -13,9 +12,10 @@
 /// \file chain.hpp
 /// A service chain: NFs in series connection (the paper's deployment:
 /// "Each node hosts an NF chain with three Network functions. Network
-/// functions are chained with a series connection."). The chain owns the
-/// inter-NF SPSC rings used by the threaded engine and exposes the cost
-/// profiles consumed by the analytic model.
+/// functions are chained with a series connection."). The chain owns its
+/// NF objects and inter-NF SPSC rings — the packet datapath. Only the
+/// threaded engine builds chains; the analytic model reads the same cost
+/// profiles from OnvmController's compositions instead.
 
 namespace greennfv::nfvsim {
 
@@ -35,9 +35,6 @@ class ServiceChain {
   [[nodiscard]] const NetworkFunction& nf(std::size_t i) const {
     return *nfs_.at(i);
   }
-
-  /// Cost profiles of all NFs, in chain order (for hwmodel::CostModel).
-  [[nodiscard]] std::vector<hwmodel::NfCostProfile> cost_profiles() const;
 
   /// Input ring of NF `i` (ring 0 is the chain's RX queue); ring
   /// `num_nfs()` is the TX/output ring.

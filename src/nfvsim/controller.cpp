@@ -15,7 +15,12 @@ OnvmController::OnvmController(hwmodel::NodeSpec spec, SchedMode mode)
 
 int OnvmController::add_chain(const std::string& name,
                               const std::vector<std::string>& nf_names) {
-  chains_.push_back(std::make_unique<ServiceChain>(name, nf_names));
+  GNFV_REQUIRE(!nf_names.empty(), "add_chain: empty NF list");
+  ChainComposition chain{name, nf_names, {}};
+  chain.profiles.reserve(nf_names.size());
+  for (const auto& nf_name : nf_names)
+    chain.profiles.push_back(hwmodel::nf_catalog::by_name(nf_name));
+  chains_.push_back(std::move(chain));
   knobs_.push_back(baseline_knobs(spec_));
   return static_cast<int>(chains_.size()) - 1;
 }
@@ -37,7 +42,7 @@ std::vector<hwmodel::ChainDeployment> OnvmController::deployments(
   out.reserve(chains_.size());
   for (std::size_t i = 0; i < chains_.size(); ++i) {
     hwmodel::ChainDeployment dep;
-    dep.nfs = chains_[i]->cost_profiles();
+    dep.nfs = chains_[i].profiles;
     dep.workload = workloads[i];
     dep.cores = knobs_[i].cores;
     dep.freq_ghz = knobs_[i].freq_ghz;

@@ -1,21 +1,25 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "hwmodel/dvfs.hpp"
+#include "hwmodel/nf_cost.hpp"
 #include "hwmodel/node.hpp"
-#include "nfvsim/chain.hpp"
 #include "nfvsim/knobs.hpp"
 
 /// \file controller.hpp
-/// The ONVM-style manager. Owns the node's chains, holds each chain's knob
-/// configuration, snaps DVFS requests to the ladder, drives CAT
-/// partitioning, and translates its state into hwmodel deployments for the
-/// analytic engine. GreenNFV's NF controller (core/nf_controller) issues
-/// `apply_knobs` calls against this class — the same interface the paper
-/// added to the ONVM controller.
+/// The ONVM-style manager. Holds the node's chain compositions (names plus
+/// catalog cost profiles) and each chain's knob configuration, snaps DVFS
+/// requests to the ladder, drives CAT partitioning, and translates its
+/// state into hwmodel deployments for the analytic engine. GreenNFV's NF
+/// controller (core/nf_controller) issues `apply_knobs` calls against this
+/// class — the same interface the paper added to the ONVM controller.
+///
+/// The controller builds no packet datapath: NF objects and rings exist
+/// only inside a ThreadedEngine, which builds its own ServiceChains from
+/// `compositions()`. Rebuilding an analytic environment therefore costs
+/// three catalog lookups per chain.
 
 namespace greennfv::nfvsim {
 
@@ -27,19 +31,27 @@ enum class SchedMode {
 
 [[nodiscard]] std::string to_string(SchedMode mode);
 
+/// One deployed chain as the controller knows it: its NF names in chain
+/// order and their catalog cost profiles (what the analytic model reads).
+struct ChainComposition {
+  std::string name;
+  std::vector<std::string> nf_names;
+  std::vector<hwmodel::NfCostProfile> profiles;
+};
+
 class OnvmController {
  public:
   explicit OnvmController(hwmodel::NodeSpec spec = hwmodel::NodeSpec{},
                           SchedMode mode = SchedMode::kHybrid);
 
-  /// Deploys a chain built from NF catalog names; returns its index.
+  /// Deploys a chain of NF catalog names; returns its index. Throws
+  /// std::invalid_argument for an unknown NF name (the catalog lookup).
   int add_chain(const std::string& name,
                 const std::vector<std::string>& nf_names);
 
   [[nodiscard]] std::size_t num_chains() const { return chains_.size(); }
-  [[nodiscard]] ServiceChain& chain(std::size_t i) { return *chains_.at(i); }
-  [[nodiscard]] const ServiceChain& chain(std::size_t i) const {
-    return *chains_.at(i);
+  [[nodiscard]] const std::vector<ChainComposition>& compositions() const {
+    return chains_;
   }
 
   /// Applies a knob configuration to one chain: clamps to hardware limits
@@ -70,7 +82,7 @@ class OnvmController {
   hwmodel::DvfsController dvfs_;
   SchedMode sched_mode_;
   bool use_cat_ = true;
-  std::vector<std::unique_ptr<ServiceChain>> chains_;
+  std::vector<ChainComposition> chains_;
   std::vector<ChainKnobs> knobs_;
 };
 

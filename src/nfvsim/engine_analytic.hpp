@@ -12,8 +12,9 @@
 /// traffic generator, evaluates the node model at the controller's current
 /// knob state, integrates energy, and feeds goodput/drop feedback to TCP
 /// flows. Fast enough to run the RL training loops (tens of thousands of
-/// episodes) while exercising the exact same controller/knob code path as
-/// the threaded engine.
+/// episodes): it reads only the controller's knobs and per-chain cost
+/// profiles (`OnvmController::deployments`) and never touches a packet
+/// datapath — NF objects and rings exist only inside a ThreadedEngine.
 
 namespace greennfv::nfvsim {
 

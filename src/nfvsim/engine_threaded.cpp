@@ -13,19 +13,23 @@ ThreadedEngine::ThreadedEngine(OnvmController& controller, Options options)
     : controller_(controller), options_(options) {
   GNFV_REQUIRE(controller_.num_chains() > 0, "ThreadedEngine: no chains");
   GNFV_REQUIRE(options_.total_packets > 0, "ThreadedEngine: zero packets");
+  chains_.reserve(controller_.num_chains());
+  for (const ChainComposition& comp : controller_.compositions())
+    chains_.emplace_back(comp.name, comp.nf_names);
 }
 
 ThreadedRunReport ThreadedEngine::run(
     const std::vector<traffic::FlowSpec>& flows, std::uint64_t seed) {
   GNFV_REQUIRE(!flows.empty(), "ThreadedEngine::run: no flows");
+  GNFV_REQUIRE(controller_.num_chains() == chains_.size(),
+               "ThreadedEngine: controller chains changed after construction");
+  const std::size_t n_chains = chains_.size();
   for (const auto& flow : flows) {
     GNFV_REQUIRE(flow.chain_index >= 0 &&
-                     static_cast<std::size_t>(flow.chain_index) <
-                         controller_.num_chains(),
+                     static_cast<std::size_t>(flow.chain_index) < n_chains,
                  "ThreadedEngine: flow references unknown chain");
   }
 
-  const std::size_t n_chains = controller_.num_chains();
   Mempool pool(options_.pool_capacity);
 
   ThreadedRunReport report;
@@ -47,7 +51,7 @@ ThreadedRunReport ThreadedEngine::run(
   workers.reserve(n_chains);
   for (std::size_t c = 0; c < n_chains; ++c) {
     workers.emplace_back([&, c] {
-      ServiceChain& chain = controller_.chain(c);
+      ServiceChain& chain = chains_[c];
       SpscRing<Packet*>& rx = chain.ring(0);
       const std::uint32_t batch = controller_.knobs(c).batch;
       std::vector<Packet*> burst(batch);
@@ -114,10 +118,8 @@ ThreadedRunReport ThreadedEngine::run(
         pkt->ttl = 64;
         pkt->payload_digest = pkt->id * 0x9E3779B97F4A7C15ull;
 
-        SpscRing<Packet*>& rx = controller_
-                                    .chain(static_cast<std::size_t>(
-                                        flow.chain_index))
-                                    .ring(0);
+        SpscRing<Packet*>& rx =
+            chains_[static_cast<std::size_t>(flow.chain_index)].ring(0);
         // Bounded retry: real NICs buffer briefly, then tail-drop.
         bool pushed = false;
         for (int attempt = 0; attempt < 128 && !pushed; ++attempt) {
@@ -150,7 +152,6 @@ ThreadedRunReport ThreadedEngine::run(
   }
   // Pool-exhausted packets never entered a ring; fold them into generated
   // accounting as RX drops for the conservation check.
-  report.nf_drops += 0;
   report.rx_ring_drops += report.pool_exhausted;
   report.wall_seconds =
       std::chrono::duration<double>(t1 - t0).count();

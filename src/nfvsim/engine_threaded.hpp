@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nfvsim/chain.hpp"
 #include "nfvsim/controller.hpp"
 #include "nfvsim/mempool.hpp"
 #include "traffic/flow.hpp"
@@ -16,6 +17,13 @@
 /// deliveries, and returns packets to the pool. In hybrid mode workers
 /// back off (yield/sleep) on empty polls — the paper's callback+polling
 /// mix; in poll mode they spin.
+///
+/// The engine owns the datapath: its constructor builds one ServiceChain
+/// (NF objects plus SPSC rings) per controller composition, before any
+/// thread starts, so each engine begins from fresh NF state. The
+/// controller it borrows supplies only the chain list, the per-chain knobs
+/// and the scheduling mode; the analytic engine reads the same controller
+/// without ever building NFs.
 ///
 /// This engine is about *correctness of the plumbing* (conservation,
 /// backpressure, burst handling), not about reproducing the paper's
@@ -50,6 +58,7 @@ class ThreadedEngine {
     std::size_t gen_burst = 64;
   };
 
+  /// Builds one ServiceChain per chain the controller holds now.
   ThreadedEngine(OnvmController& controller, Options options);
 
   /// Injects `options.total_packets` split round-robin over `flows` and
@@ -58,9 +67,15 @@ class ThreadedEngine {
   ThreadedRunReport run(const std::vector<traffic::FlowSpec>& flows,
                         std::uint64_t seed);
 
+  /// The engine's chain `i` (NF state and stats accumulate across runs).
+  [[nodiscard]] const ServiceChain& chain(std::size_t i) const {
+    return chains_.at(i);
+  }
+
  private:
   OnvmController& controller_;
   Options options_;
+  std::vector<ServiceChain> chains_;
 };
 
 }  // namespace greennfv::nfvsim

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/assert.hpp"
 #include "common/event_heap.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
@@ -636,6 +637,43 @@ void FleetOrchestrator::build_timeline() {
   }
 }
 
+ChainFlowIndex::ChainFlowIndex(const FleetTimeline& timeline)
+    : offsets_(timeline.chains.size() + 1, 0) {
+  const std::vector<traffic::FlowSpec>& flows = timeline.flows;
+  GNFV_REQUIRE(flows.size() < UINT32_MAX,
+               "ChainFlowIndex: flow pool too large");
+  for (const traffic::FlowSpec& flow : flows) {
+    GNFV_REQUIRE(flow.chain_index >= 0 &&
+                     static_cast<std::size_t>(flow.chain_index) <
+                         timeline.chains.size(),
+                 "ChainFlowIndex: flow references an unknown chain");
+    ++offsets_[static_cast<std::size_t>(flow.chain_index) + 1];
+  }
+  for (std::size_t c = 1; c < offsets_.size(); ++c)
+    offsets_[c] += offsets_[c - 1];
+  // Filling in pool order leaves every chain's run ascending.
+  std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  positions_.resize(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto chain = static_cast<std::size_t>(flows[i].chain_index);
+    positions_[next[chain]++] = static_cast<std::uint32_t>(i);
+  }
+}
+
+void ChainFlowIndex::gather(const FleetTimeline& timeline,
+                            const std::vector<int>& chains,
+                            std::vector<traffic::FlowSpec>& out) {
+  picked_.clear();
+  for (const int c : chains) {
+    const auto chain = static_cast<std::size_t>(c);
+    picked_.insert(picked_.end(), positions_.begin() + offsets_.at(chain),
+                   positions_.begin() + offsets_.at(chain + 1));
+  }
+  std::sort(picked_.begin(), picked_.end());
+  out.clear();
+  for (const std::uint32_t i : picked_) out.push_back(timeline.flows[i]);
+}
+
 scenario::ModelReport FleetOrchestrator::run_model(
     const scenario::SchedulerFactory& entry,
     telemetry::Recorder* recorder) {
@@ -661,10 +699,13 @@ scenario::ModelReport FleetOrchestrator::run_model(
   // hyperscale, so they stop at 64 nodes (every paper-shaped fleet).
   const bool node_series = num_nodes <= 64;
 
-  std::vector<std::vector<std::string>> comps;
-  comps.reserve(timeline_.chains.size());
-  for (const ChainInstance& chain : timeline_.chains)
-    comps.push_back(chain.nfs);
+  if (!flow_index_) {
+    comps_.reserve(timeline_.chains.size());
+    for (const ChainInstance& chain : timeline_.chains)
+      comps_.push_back(chain.nfs);
+    flow_index_.emplace(timeline_);
+  }
+  std::vector<traffic::FlowSpec> node_flows;  // one rebuild's flows
 
   // The static single-node fleet takes the exact ExperimentRunner path:
   // the whole-deployment EnvConfig (flows resolved inside the environment
@@ -718,10 +759,11 @@ scenario::ModelReport FleetOrchestrator::run_model(
       if (members.empty()) continue;
       c_rebuilds.add();
 
+      if (!degenerate) flow_index_->gather(timeline_, members, node_flows);
       core::EnvConfig env_config =
           degenerate ? spec_.env_config()
-                     : scenario::partition_node_env(
-                           spec_, comps, timeline_.flows, members, n);
+                     : scenario::partition_node_env(spec_, comps_,
+                                                    node_flows, members, n);
       const std::uint64_t env_seed =
           scenario::node_eval_seed(spec_, static_cast<std::size_t>(n)) +
           kEpochSeedStride * static_cast<std::uint64_t>(rt.epochs);

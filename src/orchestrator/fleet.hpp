@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,30 @@ struct FleetTimeline {
   std::shared_ptr<const telemetry::SeriesTable> series;
 };
 
+/// Per-chain index into FleetTimeline::flows: for every chain id, the pool
+/// positions of its flows, ascending. gather() hands
+/// scenario::partition_node_env just the flows a node's chains own, so a
+/// rebuild no longer scans the whole pool — and in pool order, the order
+/// the full scan keeps them in, so the partition is bit-identical.
+class ChainFlowIndex {
+ public:
+  /// A counting sort over the pool by FlowSpec::chain_index (a chain id).
+  explicit ChainFlowIndex(const FleetTimeline& timeline);
+
+  /// Copies the flows of `chains` from `timeline` (the one indexed) into
+  /// `out`, in ascending pool position. Sorting matters: a static fleet's
+  /// initial chains have interleaved flows, which per-chain concatenation
+  /// would reorder.
+  void gather(const FleetTimeline& timeline, const std::vector<int>& chains,
+              std::vector<traffic::FlowSpec>& out);
+
+ private:
+  /// Chain c's positions are positions_[offsets_[c] .. offsets_[c + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> positions_;
+  std::vector<std::uint32_t> picked_;  ///< gather() scratch
+};
+
 /// A fleet evaluation: the uniform EvalReport (per-model means + telemetry
 /// series, campaign/artifact compatible) plus the fleet history summary.
 struct FleetReport {
@@ -260,6 +285,12 @@ class FleetOrchestrator {
   bool static_fleet_ = true;
   double capacity_cores_ = 0.0;
   FleetTimeline timeline_;
+  /// Model-replay inputs derived from the timeline, built by the first
+  /// run_model (a timeline-only caller never pays for them): each chain's
+  /// NF composition, in the form partition_node_env reads, and the flow
+  /// index rebuilds gather from.
+  std::vector<std::vector<std::string>> comps_;
+  std::optional<ChainFlowIndex> flow_index_;
 
   void build_timeline();
 };

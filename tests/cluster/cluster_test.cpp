@@ -2,6 +2,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/placement.hpp"
+#include "nfvsim/chain.hpp"
 
 namespace greennfv::cluster {
 namespace {

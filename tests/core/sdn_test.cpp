@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nfvsim/chain.hpp"
+
 namespace greennfv::core {
 namespace {
 

@@ -27,9 +27,8 @@ TEST(Engines, SameControllerDrivesBoth) {
   const auto summary = analytic.run(4, 0.5);
   EXPECT_GT(summary.mean_gbps, 0.0);
 
-  // Threaded pass over the same chains (stats reset between engines).
-  controller.chain(0).reset_stats();
-  controller.chain(1).reset_stats();
+  // Threaded pass over the same controller (the engine builds its own
+  // fresh chains from the controller's compositions).
   std::vector<traffic::FlowSpec> flows;
   for (int c = 0; c < 2; ++c) {
     traffic::FlowSpec f;

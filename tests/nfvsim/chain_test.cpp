@@ -14,14 +14,6 @@ TEST(Chain, BuildsFromCatalogNames) {
   EXPECT_EQ(chain.num_rings(), 4u);  // 3 NF input rings + TX
 }
 
-TEST(Chain, CostProfilesMatchOrder) {
-  ServiceChain chain("c0", {"nat", "epc"});
-  const auto profiles = chain.cost_profiles();
-  ASSERT_EQ(profiles.size(), 2u);
-  EXPECT_EQ(profiles[0].name, "nat");
-  EXPECT_EQ(profiles[1].name, "epc");
-}
-
 TEST(Chain, InlineProcessingDelivers) {
   ServiceChain chain("c0", {"firewall", "router"});
   Packet pkt;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "common/units.hpp"
 
 namespace greennfv::nfvsim {
@@ -84,6 +88,31 @@ TEST(Controller, DeploymentsRejectWrongWorkloadCount) {
   OnvmController controller;
   controller.add_chain("c0", {"firewall"});
   EXPECT_DEATH((void)controller.deployments({}), "workload count");
+}
+
+TEST(Controller, UnknownNfNameThrowsFromTheCatalogLookup) {
+  OnvmController controller;
+  EXPECT_THROW(controller.add_chain("c0", {"firewall", "nope"}),
+               std::invalid_argument);
+  EXPECT_EQ(controller.num_chains(), 0u);  // nothing half-deployed
+}
+
+TEST(Controller, CompositionsCarryCatalogProfilesInChainOrder) {
+  OnvmController controller;
+  controller.add_chain("c0", {"nat", "epc"});
+  ASSERT_EQ(controller.compositions().size(), 1u);
+  const ChainComposition& comp = controller.compositions()[0];
+  EXPECT_EQ(comp.name, "c0");
+  EXPECT_EQ(comp.nf_names, (std::vector<std::string>{"nat", "epc"}));
+  ASSERT_EQ(comp.profiles.size(), 2u);
+  EXPECT_EQ(comp.profiles[0].name, "nat");
+  EXPECT_EQ(comp.profiles[1].name, "epc");
+  EXPECT_EQ(comp.profiles[1].base_cycles,
+            hwmodel::nf_catalog::epc().base_cycles);
+  std::vector<hwmodel::ChainWorkload> loads(1);
+  const auto deployments = controller.deployments(loads);
+  ASSERT_EQ(deployments[0].nfs.size(), 2u);
+  EXPECT_EQ(deployments[0].nfs[1].state_bytes, comp.profiles[1].state_bytes);
 }
 
 TEST(Controller, SchedModeNames) {

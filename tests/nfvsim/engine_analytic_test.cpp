@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nfvsim/chain.hpp"
 #include "traffic/generator.hpp"
 
 namespace greennfv::nfvsim {

@@ -108,5 +108,45 @@ TEST(ThreadedEngine, FirewallDropsShowAsNfDrops) {
   EXPECT_GT(report.nf_drops, 0u);
 }
 
+TEST(ThreadedEngine, EachEngineBuildsFreshChainsFromTheController) {
+  // The engine owns the datapath: two engines over one controller each
+  // start from zeroed NF stats, and each run's NF counters account for
+  // exactly that run's packets.
+  OnvmController controller;
+  controller.add_chain("c0", standard_chain_nfs(0));
+  controller.add_chain("c1", standard_chain_nfs(1));
+  ThreadedEngine::Options options;
+  options.total_packets = 20000;
+  for (const std::uint64_t seed : {21ull, 22ull}) {
+    ThreadedEngine engine(controller, options);
+    for (std::size_t c = 0; c < controller.num_chains(); ++c) {
+      const ServiceChain& chain = engine.chain(c);
+      EXPECT_EQ(chain.name(), controller.compositions()[c].name);
+      ASSERT_EQ(chain.num_nfs(), controller.compositions()[c].nf_names.size());
+      for (std::size_t i = 0; i < chain.num_nfs(); ++i) {
+        EXPECT_EQ(chain.nf(i).processed(), 0u);
+        EXPECT_EQ(chain.nf(i).dropped(), 0u);
+      }
+    }
+    const auto report = engine.run(clean_flows(2), seed);
+    EXPECT_TRUE(report.conserved());
+    // Every packet a chain consumed entered its first NF.
+    std::uint64_t entered = 0;
+    for (std::size_t c = 0; c < controller.num_chains(); ++c)
+      entered += engine.chain(c).nf(0).processed();
+    EXPECT_EQ(entered, report.delivered + report.nf_drops);
+  }
+}
+
+TEST(ThreadedEngine, RejectsChainsAddedAfterConstruction) {
+  OnvmController controller;
+  controller.add_chain("c0", {"firewall"});
+  ThreadedEngine::Options options;
+  options.total_packets = 1000;
+  ThreadedEngine engine(controller, options);
+  controller.add_chain("c1", {"router"});
+  EXPECT_DEATH((void)engine.run(clean_flows(1), 23), "chains changed");
+}
+
 }  // namespace
 }  // namespace greennfv::nfvsim
