@@ -34,11 +34,11 @@
 
 #include "bench/bench_util.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/trace.hpp"
+#include "tests/orchestrator/oracle/fleet_reference.hpp"
 
 using namespace greennfv;
 using namespace greennfv::orchestrator;
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   const double small_events = events_of(small_engine.timeline());
 
   const auto ref_start = std::chrono::steady_clock::now();
-  const FleetTimeline reference = build_reference_timeline(small);
+  const FleetTimeline reference = oracle::build_reference_timeline(small);
   const double ref_s = seconds_since(ref_start);
 
   if (timeline_to_text(small_engine.timeline(), small.num_nodes) !=
@@ -178,7 +178,6 @@ int main(int argc, char** argv) {
   const std::string trace_path_arg = config.get_string("trace", "");
   const bool trace_check = config.get_bool("trace_check", false);
   if (!trace_path_arg.empty() || trace_check) {
-#if GREENNFV_TRACING_ENABLED
     telemetry::trace::set_enabled(true);
     const auto traced_start = std::chrono::steady_clock::now();
     const FleetOrchestrator traced_engine(spec);
@@ -212,10 +211,6 @@ int main(int argc, char** argv) {
       }
     }
     telemetry::trace::reset();
-#else
-    std::printf("[trace_check] skipped: tracer compiled out "
-                "(GREENNFV_TRACING=OFF)\n");
-#endif
   }
 
   // --- optional sampled rebuild: series overhead gate -----------------------

@@ -213,9 +213,9 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" -R '^nfvsim\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -R '^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetSeriesTest|FleetPolicyOracle)\.|^topology\.|^telemetry\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression|FleetSeriesTest|FleetPolicyOracle)\.|^topology\.|^telemetry\.')
 
 echo
 echo "ci.sh: all green"

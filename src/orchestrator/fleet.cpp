@@ -24,9 +24,9 @@
 // heap drives departures, arrival ticks, consolidation ticks, and
 // accounting ticks in (window, phase) order, and a FleetIndex answers
 // placement queries from occupancy buckets in O(core levels). It is
-// proven bit-identical to the window-synchronous engine it replaced
-// (preserved in fleet_reference.cpp) by the golden suite and the live
-// equivalence tests: same RNG draw order, same floating-point
+// proven bit-identical to the window-synchronous engine it replaced (kept
+// as a test oracle in tests/orchestrator/oracle) by the golden suite and
+// the live equivalence tests: same RNG draw order, same floating-point
 // accumulation order, same policy tie-breaks.
 
 namespace greennfv::orchestrator {
@@ -93,9 +93,6 @@ FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec,
 
 void FleetOrchestrator::build_timeline() {
   namespace mc = telemetry::metrics;
-  // Explicit Span (not the macro) so the phase timer keeps accumulating
-  // when the tracer is compiled out — same for every timer-carrying span
-  // in this file.
   const telemetry::trace::Span build_span(
       "fleet/build_timeline", &mc::counter("fleet.phase.build_ns"));
   const int num_nodes = spec_.num_nodes;
@@ -166,19 +163,26 @@ void FleetOrchestrator::build_timeline() {
     chain.nfs = comps[static_cast<std::size_t>(c)];
     // Algorithm 1 line 1 allocates one core per NF.
     chain.cores = static_cast<double>(chain.nfs.size());
-    for (const auto& flow : timeline_.flows) {
-      if (flow.chain_index != c) continue;
-      chain.flows.push_back(flow);
-      chain.offered_gbps += flow.mean_rate_gbps();
-      chain.offered_pps += flow.mean_rate_pps;
-    }
+    timeline_.chains.push_back(std::move(chain));
+  }
+  // One pass over the pool, not one per chain: each chain still receives
+  // its flows (and accumulates its offered load) in pool order.
+  for (const auto& flow : timeline_.flows) {
+    if (flow.chain_index < 0 || flow.chain_index >= spec_.num_chains)
+      continue;
+    ChainInstance& chain =
+        timeline_.chains[static_cast<std::size_t>(flow.chain_index)];
+    chain.flows.push_back(flow);
+    chain.offered_gbps += flow.mean_rate_gbps();
+    chain.offered_pps += flow.mean_rate_pps;
+  }
+  for (const ChainInstance& chain : timeline_.chains) {
     if (chain.flows.empty()) {
       throw std::invalid_argument(format(
           "orchestrator: initial chain %d receives no flows (fleet runs"
           " need traffic on every initial chain)",
-          c));
+          chain.id));
     }
-    timeline_.chains.push_back(std::move(chain));
   }
 
   // Minimum one window of residency; exponential holding beyond that.
@@ -199,10 +203,24 @@ void FleetOrchestrator::build_timeline() {
   // the sorted-at-window-edge invariant for free.
   std::vector<int> dirty;
 
+  // Placement through the policy seam, for arrivals and fault recovery.
+  // Without a network the registry policies answer from the bucket queue
+  // (at most one entry per occupancy level); a routed choice scores every
+  // node.
+  auto& c_place_queries = mc::counter("fleet.placement.queries");
+  auto& c_place_scanned = mc::counter("fleet.placement.candidates_scanned");
+  const auto choose_host = [&](const ArrivalRequest& request) {
+    c_place_queries.add();
+    c_place_scanned.add(net == nullptr
+                            ? index.awake_levels().num_levels()
+                            : static_cast<std::uint64_t>(num_nodes));
+    return policy->choose_arrival(index, request, net);
+  };
+
   const auto place = [&](int id, int w, FleetTimeline::Window& win) {
     ChainInstance& chain = timeline_.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
-    const int node = policy->choose_arrival_indexed(index, request, net);
+    const int node = choose_host(request);
     if (node < 0) {
       ++win.rejected;
       ++timeline_.rejected;
@@ -234,7 +252,7 @@ void FleetOrchestrator::build_timeline() {
       timeline_.wake_energy_j += charge.energy_j * scale;
       timeline_.downtime_s += charge.downtime_s * scale;
     }
-    index.place_chain(id, node, chain.cores, chain.offered_gbps);
+    index.place_chain(id, node, chain.cores);
     win.arrivals.push_back(id);
     ++timeline_.arrivals;
     chain.first_node = node;
@@ -256,7 +274,7 @@ void FleetOrchestrator::build_timeline() {
     const ChainInstance& chain =
         timeline_.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
-    const int node = policy->choose_arrival_indexed(index, request, net);
+    const int node = choose_host(request);
     bool placed = node >= 0;
     if (placed && net != nullptr &&
         !net->commit_chain(id, node, chain.offered_gbps)) {
@@ -279,7 +297,7 @@ void FleetOrchestrator::build_timeline() {
       timeline_.wake_energy_j += charge.energy_j * scale;
       timeline_.downtime_s += charge.downtime_s * scale;
     }
-    index.place_chain(id, node, chain.cores, chain.offered_gbps);
+    index.place_chain(id, node, chain.cores);
     win.replacements.push_back({id, from, node});
     ++timeline_.replaced;
     win.charges.push_back({id, spec_.fault.replace_downtime_s,
@@ -472,8 +490,8 @@ void FleetOrchestrator::build_timeline() {
         const telemetry::trace::Span consolidate_span(
             "fleet/consolidate_tick", static_cast<std::uint64_t>(w),
             &c_phase_consolidate);
-        const std::vector<Migration> plan = policy->consolidate_indexed(
-            index, spec_.fleet.consolidate_below);
+        const std::vector<Migration> plan =
+            policy->consolidate(index, spec_.fleet.consolidate_below);
         c_mig_attempted.add(plan.size());
         for (const Migration& move : plan) {
           // Network veto: a consolidation move whose re-routed path has
@@ -501,8 +519,7 @@ void FleetOrchestrator::build_timeline() {
             timeline_.wake_energy_j += charge.energy_j * scale;
             timeline_.downtime_s += charge.downtime_s * scale;
           }
-          index.place_chain(move.chain, move.to, chain.cores,
-                            chain.offered_gbps);
+          index.place_chain(move.chain, move.to, chain.cores);
           win.migrations.push_back(move);
           ++timeline_.migrations;
           win.charges.push_back({move.chain,
@@ -679,9 +696,6 @@ scenario::ModelReport FleetOrchestrator::run_model(
     telemetry::Recorder* recorder) {
   namespace mc = telemetry::metrics;
   // Interned so the span name outlives this call; one string per model.
-  // An explicit Span (not the macro) so the run_model_ns timer keeps
-  // accumulating for bench phase breakdowns even when the tracer is
-  // compiled out.
   const telemetry::trace::Span model_span(
       telemetry::trace::intern("fleet/run_model:" + entry.name),
       &mc::counter("fleet.phase.run_model_ns"));

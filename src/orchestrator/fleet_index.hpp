@@ -4,15 +4,13 @@
 
 #include "common/arena.hpp"
 #include "common/bucket_queue.hpp"
-#include "orchestrator/policy.hpp"
 
 /// \file fleet_index.hpp
 /// Incrementally-maintained fleet state for the discrete-event engine:
 /// committed cores, hosted chain lists, and power flags per node, plus an
 /// occupancy-bucketed runqueue (awake nodes keyed by integral committed
 /// cores) and an ordered asleep-id set. Placement policies query it in
-/// O(levels) instead of scanning the roster; index-unaware policies get a
-/// materialized FleetView through the same interface.
+/// O(levels) instead of scanning the roster.
 ///
 /// The bucketing is exact, not approximate: every chain commits an
 /// integral core count (one core per NF), so two nodes compare equal on
@@ -20,7 +18,7 @@
 /// policies' epsilon tie-breaks (1e-12 improvements over values that
 /// differ by >= 1 core) never bind. That is what lets bucket argmin /
 /// argmax queries reproduce the reference engine's linear scans
-/// bit-for-bit.
+/// bit-for-bit (tests/orchestrator/oracle holds those scans).
 
 namespace greennfv::orchestrator {
 
@@ -30,8 +28,8 @@ class FleetIndex {
 
   // --- engine mutations ----------------------------------------------------
   /// Registers `chain` on `node` (appends to the hosted list). The chain's
-  /// load is remembered for views and consolidation planning.
-  void place_chain(int chain, int node, double cores, double offered_gbps);
+  /// cores are remembered for consolidation planning.
+  void place_chain(int chain, int node, double cores);
   /// Removes `chain` from its current node.
   void remove_chain(int chain);
   /// Moves `chain` from its current node to `to` (appends to `to`'s
@@ -41,9 +39,9 @@ class FleetIndex {
   void wake(int node);
   void sleep(int node);
   /// Fault transitions. crash() takes the node out of service: it leaves
-  /// both the awake buckets and the asleep set, so no policy query —
-  /// indexed or view-based — can ever pick it. The caller must evict the
-  /// hosted chains first. repair() returns it to service awake and empty.
+  /// both the awake buckets and the asleep set, so no bucket query can
+  /// ever pick it. The caller must evict the hosted chains first.
+  /// repair() returns it to service awake and empty.
   void crash(int node);
   void repair(int node);
   [[nodiscard]] bool down(int node) const {
@@ -87,9 +85,6 @@ class FleetIndex {
   /// policies' fits() tolerance), or -1 when nothing fits.
   [[nodiscard]] int max_fitting_level(double cores) const;
 
-  /// Full FleetView snapshot for index-unaware (custom) policies.
-  [[nodiscard]] FleetView materialize_view() const;
-
   /// Bytes the bucket/runqueue arena has reserved from the OS — the
   /// flight recorder's fleet.index.arena_bytes gauge.
   [[nodiscard]] std::size_t arena_bytes() const {
@@ -114,7 +109,6 @@ class FleetIndex {
   // Per-chain load registry, indexed by chain id (grows on demand).
   std::vector<int> chain_node_;
   std::vector<double> chain_cores_;
-  std::vector<double> chain_gbps_;
 };
 
 }  // namespace greennfv::orchestrator

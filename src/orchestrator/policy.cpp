@@ -5,8 +5,13 @@
 #include <utility>
 
 #include "orchestrator/fleet_index.hpp"
-#include "telemetry/metrics.hpp"
+#include "scenario/scenario_spec.hpp"
 #include "topology/path_table.hpp"
+
+// Each decision below is pinned against a linear-scan oracle of the same
+// policy (tests/orchestrator/oracle): the bucket queries reproduce the
+// scans' tie-breaks exactly because committed cores are integral (see
+// fleet_index.hpp).
 
 namespace greennfv::orchestrator {
 
@@ -14,9 +19,10 @@ namespace {
 
 /// Tightest fit among awake nodes via the occupancy buckets: the highest
 /// bucket whose level still fits has minimal slack; min id breaks ties
-/// (the reference scan's 1e-12-strict improvement keeps the first, i.e.
-/// lowest, index among equal-slack nodes). Falls back to the lowest
-/// asleep id, mirroring energy_bestfit_choose's wake pass.
+/// (the scan's 1e-12-strict improvement keeps the first, i.e. lowest,
+/// index among equal-slack nodes). Falls back to the lowest asleep id —
+/// a sleeping node is woken only when no awake node has room, since the
+/// fewest nodes burn more than sleep power.
 int indexed_bestfit(const FleetIndex& index, double cores) {
   const int max_level = index.max_fitting_level(cores);
   if (max_level < 0) return -1;
@@ -31,15 +37,8 @@ class FirstFitPolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "first-fit"; }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            double cores) const override {
-    for (std::size_t n = 0; n < view.nodes.size(); ++n)
-      if (view.nodes[n].fits(cores)) return static_cast<int>(n);
-    return -1;
-  }
-
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
     const int max_level = index.max_fitting_level(cores);
     if (max_level < 0) return -1;
     // Lowest node id that fits, awake or asleep (asleep nodes sit at
@@ -57,23 +56,8 @@ class LeastLoadedPolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "least-loaded"; }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            double cores) const override {
-    int chosen = -1;
-    double best_load = 1e300;
-    for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-      const NodeView& node = view.nodes[n];
-      if (!node.fits(cores)) continue;
-      if (node.utilization() < best_load - 1e-12) {
-        best_load = node.utilization();
-        chosen = static_cast<int>(n);
-      }
-    }
-    return chosen;
-  }
-
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
     const int max_level = index.max_fitting_level(cores);
     if (max_level < 0) return -1;
     const int lowest = index.awake_levels().lowest_nonempty(
@@ -93,41 +77,14 @@ class LeastLoadedPolicy final : public FleetPolicy {
   }
 };
 
-/// Tightest fit among *awake* nodes; a sleeping node is woken only when no
-/// awake node has room — the fewest nodes burn more than sleep power.
-int energy_bestfit_choose(const FleetView& view, double cores,
-                          bool allow_wake) {
-  int chosen = -1;
-  double best_slack = 1e300;
-  for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-    const NodeView& node = view.nodes[n];
-    if (node.asleep || !node.fits(cores)) continue;
-    const double slack = node.free_cores() - cores;
-    if (slack < best_slack - 1e-12) {
-      best_slack = slack;
-      chosen = static_cast<int>(n);
-    }
-  }
-  if (chosen >= 0 || !allow_wake) return chosen;
-  for (std::size_t n = 0; n < view.nodes.size(); ++n)
-    if (view.nodes[n].asleep && view.nodes[n].fits(cores))
-      return static_cast<int>(n);
-  return -1;
-}
-
 class EnergyBestFitPolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override {
     return "energy-bestfit";
   }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            double cores) const override {
-    return energy_bestfit_choose(view, cores, /*allow_wake=*/true);
-  }
-
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
     return indexed_bestfit(index, cores);
   }
 };
@@ -136,73 +93,18 @@ class ConsolidatePolicy final : public FleetPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "consolidate"; }
 
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            double cores) const override {
-    return energy_bestfit_choose(view, cores, /*allow_wake=*/true);
-  }
-
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
     return indexed_bestfit(index, cores);
   }
 
+  /// Drains the least-utilized awake donor whose every chain best-fits
+  /// onto the other awake occupied nodes (never waking a sleeping node to
+  /// consolidate into). Drain-or-nothing: a partial move keeps the donor
+  /// awake and saves nothing. One drained donor per window keeps churn
+  /// (and migration downtime) bounded; the next window picks up the next
+  /// candidate.
   [[nodiscard]] std::vector<Migration> consolidate(
-      const FleetView& view, double below) const override {
-    // Candidate donors, least-utilized first (the cheapest node to empty).
-    std::vector<std::size_t> donors;
-    for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-      const NodeView& node = view.nodes[n];
-      if (node.occupied() && !node.asleep && node.utilization() < below)
-        donors.push_back(n);
-    }
-    std::sort(donors.begin(), donors.end(),
-              [&view](std::size_t a, std::size_t b) {
-                const double ua = view.nodes[a].utilization();
-                const double ub = view.nodes[b].utilization();
-                if (ua != ub) return ua < ub;
-                return a < b;
-              });
-
-    for (const std::size_t donor : donors) {
-      // Drain-or-nothing: a partial move keeps the donor awake and saves
-      // nothing. Try to best-fit every chain onto the other awake occupied
-      // nodes (never wake a sleeping node to consolidate into).
-      std::vector<double> free(view.nodes.size());
-      for (std::size_t n = 0; n < view.nodes.size(); ++n)
-        free[n] = view.nodes[n].free_cores();
-
-      std::vector<Migration> plan;
-      bool drained = true;
-      for (const ChainLoad& chain : view.nodes[donor].chains) {
-        int target = -1;
-        double best_slack = 1e300;
-        for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-          if (n == donor) continue;
-          const NodeView& node = view.nodes[n];
-          if (node.asleep || !node.occupied()) continue;
-          const double slack = free[n] - chain.cores;
-          if (slack < -1e-9) continue;
-          if (slack < best_slack - 1e-12) {
-            best_slack = slack;
-            target = static_cast<int>(n);
-          }
-        }
-        if (target < 0) {
-          drained = false;
-          break;
-        }
-        free[static_cast<std::size_t>(target)] -= chain.cores;
-        plan.push_back(
-            {chain.id, static_cast<int>(donor), target});
-      }
-      // One drained donor per window keeps churn (and migration downtime)
-      // bounded; the next window picks up the next candidate.
-      if (drained && !plan.empty()) return plan;
-    }
-    return {};
-  }
-
-  [[nodiscard]] std::vector<Migration> consolidate_indexed(
       const FleetIndex& index, double below) const override {
     const BucketQueue& awake = index.awake_levels();
     const double cap = index.capacity_cores();
@@ -222,11 +124,11 @@ class ConsolidatePolicy final : public FleetPolicy {
   }
 
  private:
-  /// Drain-or-nothing plan for one donor against the live index, exactly
-  /// mirroring the view-based planner's overlay of tentative receivers:
-  /// non-overlaid candidates come from the snapshot buckets (highest
-  /// fitting level = tightest fit, min id on ties), overlaid receivers
-  /// compete at their effective (snapshot + taken) level.
+  /// Drain-or-nothing plan for one donor against the live index, with an
+  /// overlay of tentative receivers: non-overlaid candidates come from
+  /// the snapshot buckets (highest fitting level = tightest fit, min id
+  /// on ties), overlaid receivers compete at their effective (snapshot +
+  /// taken) level.
   [[nodiscard]] static std::vector<Migration> try_drain(
       const FleetIndex& index, int donor) {
     const BucketQueue& awake = index.awake_levels();
@@ -301,35 +203,33 @@ class TopologyAwareBestFitPolicy final : public FleetPolicy {
   /// Network-free fallback (topology.enabled=0, or callers that never
   /// route): identical to energy-bestfit, so the no-topology determinism
   /// and golden suites exercise this policy too.
-  [[nodiscard]] int choose(const FleetView& view,
+  [[nodiscard]] int choose(const FleetIndex& index,
                            double cores) const override {
-    return energy_bestfit_choose(view, cores, /*allow_wake=*/true);
-  }
-
-  [[nodiscard]] int choose_indexed(const FleetIndex& index,
-                                   double cores) const override {
     return indexed_bestfit(index, cores);
   }
 
   [[nodiscard]] int choose_arrival(
-      const FleetView& view, const ArrivalRequest& request,
+      const FleetIndex& index, const ArrivalRequest& request,
       const topology::PathTable* net) const override {
-    if (net == nullptr) return choose(view, request.cores);
+    if (net == nullptr) return choose(index, request.cores);
     const std::vector<topology::PathView> paths =
         net->preview_hosts(request.offered_gbps);
     int chosen = -1;
     bool chosen_asleep = false;
     topology::PathView chosen_path;
     double chosen_slack = 0.0;
-    for (std::size_t n = 0; n < view.nodes.size(); ++n) {
-      const NodeView& node = view.nodes[n];
-      if (!node.fits(request.cores)) continue;
-      const topology::PathView& path = paths[n];
+    for (int n = 0; n < index.num_nodes(); ++n) {
+      // A down node has no capacity: the fits test below masks it.
+      const double capacity = index.down(n) ? 0.0 : index.capacity_cores();
+      const double committed = index.committed_cores(n);
+      if (!(committed + request.cores <= capacity + 1e-9)) continue;
+      const topology::PathView& path = paths[static_cast<std::size_t>(n)];
       if (!path.feasible) continue;
-      const double slack = node.free_cores() - request.cores;
+      const bool asleep = index.asleep(n);
+      const double slack = (capacity - committed) - request.cores;
       const bool wins = [&] {
         if (chosen < 0) return true;
-        if (node.asleep != chosen_asleep) return chosen_asleep;
+        if (asleep != chosen_asleep) return chosen_asleep;
         if (path.hops != chosen_path.hops)
           return path.hops < chosen_path.hops;
         if (path.bottleneck_kbps != chosen_path.bottleneck_kbps)
@@ -338,8 +238,8 @@ class TopologyAwareBestFitPolicy final : public FleetPolicy {
         return slack < chosen_slack - 1e-12;
       }();
       if (wins) {
-        chosen = static_cast<int>(n);
-        chosen_asleep = node.asleep;
+        chosen = n;
+        chosen_asleep = asleep;
         chosen_path = path;
         chosen_slack = slack;
       }
@@ -350,45 +250,6 @@ class TopologyAwareBestFitPolicy final : public FleetPolicy {
 
 }  // namespace
 
-int FleetPolicy::choose_arrival_indexed(
-    const FleetIndex& index, const ArrivalRequest& request,
-    const topology::PathTable* net) const {
-  static auto& c_queries =
-      telemetry::metrics::counter("fleet.placement.queries");
-  static auto& c_scanned =
-      telemetry::metrics::counter("fleet.placement.candidates_scanned");
-  c_queries.add();
-  // No network: the classic O(levels) indexed path, untouched. With one:
-  // arrival placement is no longer a pure cores argmin, so materialize
-  // the view and run the network-aware scan.
-  if (net == nullptr) {
-    // Bucket queries touch at most one entry per occupancy level.
-    c_scanned.add(index.awake_levels().num_levels());
-    return choose_indexed(index, request.cores);
-  }
-  c_scanned.add(static_cast<std::uint64_t>(index.num_nodes()));
-  return choose_arrival(index.materialize_view(), request, net);
-}
-
-int FleetPolicy::choose_indexed(const FleetIndex& index,
-                                double cores) const {
-  // Compatibility path for index-unaware (custom) policies: snapshot the
-  // fleet into the classic view and run the linear-scan variant.
-  return choose(index.materialize_view(), cores);
-}
-
-std::vector<Migration> FleetPolicy::consolidate_indexed(
-    const FleetIndex& index, double below) const {
-  return consolidate(index.materialize_view(), below);
-}
-
-const std::vector<std::string>& fleet_policy_names() {
-  static const std::vector<std::string> names = {
-      "first-fit", "least-loaded", "energy-bestfit", "consolidate",
-      "topology-aware-bestfit"};
-  return names;
-}
-
 std::unique_ptr<FleetPolicy> make_fleet_policy(const std::string& name) {
   if (name == "first-fit") return std::make_unique<FirstFitPolicy>();
   if (name == "least-loaded") return std::make_unique<LeastLoadedPolicy>();
@@ -398,7 +259,7 @@ std::unique_ptr<FleetPolicy> make_fleet_policy(const std::string& name) {
   if (name == "topology-aware-bestfit")
     return std::make_unique<TopologyAwareBestFitPolicy>();
   std::string known;
-  for (const auto& entry : fleet_policy_names()) {
+  for (const auto& entry : scenario::FleetSpec::policy_names()) {
     if (!known.empty()) known += ", ";
     known += entry;
   }

@@ -13,6 +13,9 @@
 /// put them to sleep. This is the joint placement + allocation lever the
 /// related work (Tajiki et al., Sang et al.) identifies as where the
 /// energy/QoS trade-off is decided.
+///
+/// Every decision reads the engine's `FleetIndex` (fleet_index.hpp): the
+/// registry policies answer from its occupancy buckets in O(core levels).
 
 namespace greennfv::topology {
 class PathTable;
@@ -21,40 +24,6 @@ class PathTable;
 namespace greennfv::orchestrator {
 
 class FleetIndex;
-
-/// One hosted chain from the policy's perspective.
-struct ChainLoad {
-  int id = 0;
-  double cores = 0.0;
-  double offered_gbps = 0.0;
-};
-
-/// Live state of one node as the policies see it.
-struct NodeView {
-  double capacity_cores = 0.0;
-  double committed_cores = 0.0;
-  bool asleep = false;
-  /// Crashed/out-of-service (fault injection). Down nodes are also
-  /// presented at capacity 0, so fits() already masks them for every
-  /// registry policy; the flag is informational for custom policies.
-  bool down = false;
-  std::vector<ChainLoad> chains;
-
-  [[nodiscard]] bool occupied() const { return !chains.empty(); }
-  [[nodiscard]] double free_cores() const {
-    return capacity_cores - committed_cores;
-  }
-  [[nodiscard]] double utilization() const {
-    return capacity_cores > 0.0 ? committed_cores / capacity_cores : 0.0;
-  }
-  [[nodiscard]] bool fits(double cores) const {
-    return committed_cores + cores <= capacity_cores + 1e-9;
-  }
-};
-
-struct FleetView {
-  std::vector<NodeView> nodes;
-};
 
 /// One proposed chain move (consolidation).
 struct Migration {
@@ -78,57 +47,39 @@ class FleetPolicy {
 
   /// Node to host a `cores`-wide arrival, or -1 when nothing fits (the
   /// chain is rejected). Choosing a sleeping node wakes it (the caller
-  /// charges the wake latency/energy).
-  [[nodiscard]] virtual int choose(const FleetView& view,
+  /// charges the wake latency/energy). Down nodes are never candidates.
+  [[nodiscard]] virtual int choose(const FleetIndex& index,
                                    double cores) const = 0;
 
   /// Consolidation pass: migrations that drain nodes whose utilization
   /// sits below `below` when their chains fit on other awake occupied
   /// nodes. Default: none (only the consolidating policy migrates).
   [[nodiscard]] virtual std::vector<Migration> consolidate(
-      const FleetView& view, double below) const {
-    (void)view;
+      const FleetIndex& index, double below) const {
+    (void)index;
     (void)below;
     return {};
   }
 
-  /// Index-backed variants the discrete-event engine calls on the hot
-  /// path. The registry policies answer straight from the occupancy
-  /// buckets in O(core levels) — provably equal to their linear-scan
-  /// choose()/consolidate() because committed cores are integral (see
-  /// fleet_index.hpp). The defaults materialize a FleetView and defer to
-  /// the scan variants, so custom policies keep working unchanged.
-  [[nodiscard]] virtual int choose_indexed(const FleetIndex& index,
-                                           double cores) const;
-  [[nodiscard]] virtual std::vector<Migration> consolidate_indexed(
-      const FleetIndex& index, double below) const;
-
   /// Arrival placement with the network in view. `net` is the live
   /// routing/commitment table when the scenario runs a topology, null
-  /// otherwise. Defaults defer to choose()/choose_indexed(), so every
-  /// network-blind policy (including pre-existing custom ones) behaves
-  /// exactly as before; only topology-aware policies override these.
-  /// Whatever node is returned, the *engine* still admission-checks the
-  /// path — a policy cannot oversubscribe a link, only pick badly.
+  /// otherwise. The default ignores the network and defers to choose();
+  /// only topology-aware policies override it. Whatever node is
+  /// returned, the *engine* still admission-checks the path — a policy
+  /// cannot oversubscribe a link, only pick badly.
   [[nodiscard]] virtual int choose_arrival(
-      const FleetView& view, const ArrivalRequest& request,
+      const FleetIndex& index, const ArrivalRequest& request,
       const topology::PathTable* net) const {
     (void)net;
-    return choose(view, request.cores);
+    return choose(index, request.cores);
   }
-  [[nodiscard]] virtual int choose_arrival_indexed(
-      const FleetIndex& index, const ArrivalRequest& request,
-      const topology::PathTable* net) const;
 };
 
-/// Registry lookup by name ("first-fit", "least-loaded", "energy-bestfit",
-/// "consolidate", "topology-aware-bestfit"); throws std::invalid_argument
-/// listing the registry on unknown names. The accepted names are mirrored by
-/// scenario::FleetSpec::policy_names() so campaign expansion validates
-/// fleet.policy before anything runs.
+/// Registry lookup by name — one of scenario::FleetSpec::policy_names(),
+/// the list campaign expansion validates fleet.policy against before
+/// anything runs. Throws std::invalid_argument listing that registry on
+/// unknown names.
 [[nodiscard]] std::unique_ptr<FleetPolicy> make_fleet_policy(
     const std::string& name);
-
-[[nodiscard]] const std::vector<std::string>& fleet_policy_names();
 
 }  // namespace greennfv::orchestrator

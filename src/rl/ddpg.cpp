@@ -132,8 +132,6 @@ const TrainStats& DdpgAgent::train_step(ReplayInterface& replay, Rng& rng) {
   static auto& t_actor = mc::counter("rl.phase.actor_ns");
   static auto& t_soft = mc::counter("rl.phase.soft_update_ns");
   c_steps.add();
-  // Explicit Spans (not the macro) so the pass timers keep accumulating
-  // when the tracer is compiled out.
   const telemetry::trace::Span step_span("rl/train_step", &t_step);
   GNFV_REQUIRE(replay.size() >= config_.batch_size,
                "DDPG::train_step: replay underfilled");

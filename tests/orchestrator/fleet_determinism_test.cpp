@@ -5,9 +5,9 @@
 
 #include "campaign/runner.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/orchestrator/oracle/fleet_reference.hpp"
 
 /// Determinism stress for the discrete-event fleet engine, at a scale no
 /// golden file could pin (the serialized history would be megabytes):
@@ -54,12 +54,12 @@ TEST(FleetDeterminism, EventEngineMatchesReferenceEngineAcrossPolicies) {
   // Live equivalence against the preserved window-synchronous builder —
   // the same proof the golden files pin, but at 200 nodes x 30 windows
   // and across every registry policy and several seeds.
-  for (const std::string& policy : fleet_policy_names()) {
+  for (const std::string& policy : scenario::FleetSpec::policy_names()) {
     for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
       const scenario::ScenarioSpec spec =
           stress_spec(200, 25.0, policy, seed);
       FleetOrchestrator event_engine(spec);
-      const FleetTimeline reference = build_reference_timeline(spec);
+      const FleetTimeline reference = oracle::build_reference_timeline(spec);
       EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),
                 timeline_to_text(reference, spec.num_nodes))
           << "policy " << policy << " seed " << seed;

@@ -6,9 +6,9 @@
 #include "campaign/runner.hpp"
 #include "orchestrator/fault.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/orchestrator/oracle/fleet_reference.hpp"
 
 /// Fault-injection determinism suite. The contract mirrors the rest of
 /// the fleet engine: the fault schedule is a pure function of the
@@ -96,11 +96,11 @@ TEST(FleetFault, EventEngineMatchesReferenceWithFaults) {
   // Live engine equivalence with faults on, across every registry policy
   // and several seeds — the fault phase must interleave with departures,
   // arrivals, consolidation, and accounting identically on both engines.
-  for (const std::string& policy : fleet_policy_names()) {
+  for (const std::string& policy : scenario::FleetSpec::policy_names()) {
     for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
       const scenario::ScenarioSpec spec = fault_spec(policy, seed);
       FleetOrchestrator event_engine(spec);
-      const FleetTimeline reference = build_reference_timeline(spec);
+      const FleetTimeline reference = oracle::build_reference_timeline(spec);
       EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),
                 timeline_to_text(reference, spec.num_nodes))
           << "policy " << policy << " seed " << seed;
@@ -117,7 +117,7 @@ TEST(FleetFault, EventEngineMatchesReferenceWithLinkFailures) {
     for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
       const scenario::ScenarioSpec spec = link_fault_spec(policy, seed);
       FleetOrchestrator event_engine(spec);
-      const FleetTimeline reference = build_reference_timeline(spec);
+      const FleetTimeline reference = oracle::build_reference_timeline(spec);
       EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),
                 timeline_to_text(reference, spec.num_nodes))
           << "policy " << policy << " seed " << seed;

@@ -6,10 +6,10 @@
 #include "common/fs_util.hpp"
 #include "common/string_util.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/fleet_series.hpp"
 #include "scenario/presets.hpp"
 #include "telemetry/series.hpp"
+#include "tests/orchestrator/oracle/fleet_reference.hpp"
 
 /// The per-window health series through both fleet engines. The
 /// discrete-event engine and the frozen window-synchronous reference
@@ -23,7 +23,7 @@ namespace greennfv {
 namespace {
 
 using orchestrator::FleetOrchestrator;
-using orchestrator::build_reference_timeline;
+using orchestrator::oracle::build_reference_timeline;
 using orchestrator::fleet_series_columns;
 
 class FleetSeriesTest : public ::testing::Test {

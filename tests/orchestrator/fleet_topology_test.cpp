@@ -5,10 +5,10 @@
 
 #include "campaign/runner.hpp"
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/presets.hpp"
+#include "tests/orchestrator/oracle/fleet_reference.hpp"
 
 /// Topology-enabled fleet equivalence: with the network fabric switched on
 /// the discrete-event engine must still reproduce the window-synchronous
@@ -37,11 +37,11 @@ scenario::ScenarioSpec topo_spec(const std::string& policy,
 }
 
 TEST(FleetTopology, EventEngineMatchesReferenceAcrossPolicies) {
-  for (const std::string& policy : fleet_policy_names()) {
+  for (const std::string& policy : scenario::FleetSpec::policy_names()) {
     for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
       const scenario::ScenarioSpec spec = topo_spec(policy, seed);
       FleetOrchestrator event_engine(spec);
-      const FleetTimeline reference = build_reference_timeline(spec);
+      const FleetTimeline reference = oracle::build_reference_timeline(spec);
       EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),
                 timeline_to_text(reference, spec.num_nodes))
           << "policy " << policy << " seed " << seed;
@@ -59,7 +59,7 @@ TEST(FleetTopology, EventEngineMatchesReferenceAcrossPresetsAndRouting) {
           topo_spec("topology-aware-bestfit", 7, preset, routing);
       spec.num_nodes = 16;  // fat-tree fat_k=4 attaches at most 16 hosts
       FleetOrchestrator event_engine(spec);
-      const FleetTimeline reference = build_reference_timeline(spec);
+      const FleetTimeline reference = oracle::build_reference_timeline(spec);
       EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),
                 timeline_to_text(reference, spec.num_nodes))
           << preset << "/" << routing;
@@ -74,7 +74,7 @@ TEST(FleetTopology, TightFabricRejectsOversubscribedPlacements) {
   spec.topology.link_gbps = 0.05;
   spec.topology.core_gbps = 0.05;
   FleetOrchestrator event_engine(spec);
-  const FleetTimeline reference = build_reference_timeline(spec);
+  const FleetTimeline reference = oracle::build_reference_timeline(spec);
   EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),
             timeline_to_text(reference, spec.num_nodes));
   EXPECT_GT(event_engine.timeline().net_rejected, 0);

@@ -5,9 +5,10 @@
 #include <vector>
 
 #include "orchestrator/fleet.hpp"
-#include "orchestrator/fleet_reference.hpp"
 #include "orchestrator/timeline_io.hpp"
 #include "scenario/presets.hpp"
+#include "tests/orchestrator/oracle/fleet_reference.hpp"
+#include "tests/orchestrator/oracle/scan_adapter.hpp"
 
 /// Regression for the dirty-tracking blind spot: a node that power-gated
 /// to Asleep is invisible to the event engine's incremental bookkeeping
@@ -18,17 +19,20 @@
 ///
 /// The registry policies never migrate onto a sleeping node, so the test
 /// injects a custom policy through the orchestrator's policy seam. The
-/// policy is view-based (index-unaware), which additionally pins the
-/// materialize_view compatibility path inside the event engine.
+/// policy is a view-based scan, presented to the event engine through
+/// the oracle's ScanPolicyAdapter and run as-is by the reference engine.
 
 namespace greennfv::orchestrator {
 namespace {
+
+using oracle::ChainLoad;
+using oracle::FleetView;
 
 /// Packs arrivals onto the lowest awake node so the tail of the fleet
 /// drains and power-gates; then, on every consolidation pass where some
 /// node sleeps, migrates the busiest node's first chain onto the lowest
 /// sleeping node — the exact move the registry policies refuse to make.
-class WakeOnMigratePolicy final : public FleetPolicy {
+class WakeOnMigratePolicy final : public oracle::ReferencePolicy {
  public:
   [[nodiscard]] std::string name() const override {
     return "wake-on-migrate";
@@ -86,7 +90,8 @@ scenario::ScenarioSpec wake_spec() {
 TEST(FleetWakeRegression, MigrationIntoSleepingNodeChargesWakeExactly) {
   const scenario::ScenarioSpec spec = wake_spec();
   FleetOrchestrator orchestrator(
-      spec, std::make_unique<WakeOnMigratePolicy>());
+      spec, std::make_unique<oracle::ScanPolicyAdapter>(
+                std::make_unique<WakeOnMigratePolicy>()));
   const FleetTimeline& timeline = orchestrator.timeline();
 
   // The scenario must actually hit the blind spot: at least one wake-up
@@ -129,10 +134,11 @@ TEST(FleetWakeRegression, MigrationWakeMatchesWindowSynchronousEngine) {
   // reference engine's history exactly, including the wake charges.
   const scenario::ScenarioSpec spec = wake_spec();
   FleetOrchestrator event_engine(
-      spec, std::make_unique<WakeOnMigratePolicy>());
+      spec, std::make_unique<oracle::ScanPolicyAdapter>(
+                std::make_unique<WakeOnMigratePolicy>()));
   const WakeOnMigratePolicy reference_policy;
   const FleetTimeline reference =
-      build_reference_timeline(spec, &reference_policy);
+      oracle::build_reference_timeline(spec, &reference_policy);
   EXPECT_EQ(timeline_to_text(event_engine.timeline(), spec.num_nodes),
             timeline_to_text(reference, spec.num_nodes));
 }

@@ -1,4 +1,4 @@
-#include "orchestrator/fleet_reference.hpp"
+#include "tests/orchestrator/oracle/fleet_reference.hpp"
 
 #include <algorithm>
 #include <memory>
@@ -17,7 +17,7 @@
 // same tie-breaks). Do not "clean it up" — its value is being the frozen
 // reference the event engine is proven bit-identical against.
 
-namespace greennfv::orchestrator {
+namespace greennfv::orchestrator::oracle {
 
 namespace {
 
@@ -28,7 +28,7 @@ constexpr std::uint64_t kTimelineSeedSalt = 0xF1EE7C0FFEEull;
 }  // namespace
 
 FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
-                                       const FleetPolicy* policy_override) {
+                                       const ReferencePolicy* policy_override) {
   if (!spec.fleet.enabled) {
     throw std::invalid_argument(
         "orchestrator: reference timeline needs fleet.enabled");
@@ -46,10 +46,10 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
   const int num_nodes = spec.num_nodes;
   const double window_s = spec.window_s;
   Rng rng(spec.seed ^ kTimelineSeedSalt);
-  const std::unique_ptr<FleetPolicy> owned_policy =
-      policy_override == nullptr ? make_fleet_policy(spec.fleet.policy)
+  const std::unique_ptr<ReferencePolicy> owned_policy =
+      policy_override == nullptr ? make_reference_policy(spec.fleet.policy)
                                  : nullptr;
-  const FleetPolicy* policy =
+  const ReferencePolicy* policy =
       policy_override != nullptr ? policy_override : owned_policy.get();
   const PowerStateConfig ps_config{
       spec.node.p_idle_w, spec.node.p_sleep_w, spec.node.wake_latency_s,
@@ -59,7 +59,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
   std::vector<std::vector<int>> hosted(static_cast<std::size_t>(num_nodes));
   std::vector<double> committed(static_cast<std::size_t>(num_nodes), 0.0);
 
-  // PR 10 addition, read-only: the per-window health sampler. Inert
+  // The per-window health sampler, a later read-only addition. Inert
   // unless telemetry::series::enabled(); samples after step 4 closes the
   // window, so it cannot perturb the frozen accounting above/below.
   FleetSeriesSampler sampler(horizon, window_s);
@@ -130,7 +130,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
     for (int n = 0; n < num_nodes; ++n) {
       NodeView node;
       // Down nodes present at capacity 0 and never asleep — exactly what
-      // FleetIndex::materialize_view reports — so every fits() gate masks
+      // view_of(FleetIndex) reports — so every fits() gate masks
       // them and both engines' policies see the same candidate set.
       node.down = down[static_cast<std::size_t>(n)] != 0;
       node.capacity_cores = node.down ? 0.0 : capacity_cores;
@@ -140,7 +140,7 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
       for (const int id : hosted[static_cast<std::size_t>(n)]) {
         const ChainInstance& chain =
             timeline.chains[static_cast<std::size_t>(id)];
-        node.chains.push_back({id, chain.cores, chain.offered_gbps});
+        node.chains.push_back({id, chain.cores});
       }
       view.nodes.push_back(std::move(node));
     }
@@ -476,4 +476,4 @@ FleetTimeline build_reference_timeline(const scenario::ScenarioSpec& spec,
   return timeline;
 }
 
-}  // namespace greennfv::orchestrator
+}  // namespace greennfv::orchestrator::oracle

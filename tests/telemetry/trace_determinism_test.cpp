@@ -45,9 +45,7 @@ TEST_F(TraceDeterminismTest, FleetTimelineIdenticalTracedVsUntraced) {
       orchestrator::timeline_to_text(recorded.timeline(), spec.num_nodes);
 
   EXPECT_EQ(untraced, traced);
-  if (trace::active()) {
-    EXPECT_GT(trace::recorded(), 0u);
-  }
+  EXPECT_GT(trace::recorded(), 0u);
   EXPECT_GT(metrics::counter("fleet.arrivals").value(), 0u);
 }
 
