@@ -31,6 +31,16 @@ cmake --build build -j "$JOBS"
 echo
 echo "=== [1b] scenario smoke: ci-smoke preset, full roster ==="
 ./build/example_run_scenario scenario=ci-smoke
+# Saved scenario files must reload bit for bit through the shipping CLI:
+# the fault, fleet and explicit-flow key families, save -> load -> save.
+mkdir -p out
+for preset in fault-smoke mega-fleet tcp-heavy; do
+  ./build/example_run_scenario scenario="$preset" \
+    save="out/ci_$preset.a.scenario"
+  ./build/example_run_scenario scenario_file="out/ci_$preset.a.scenario" \
+    save="out/ci_$preset.b.scenario"
+  cmp "out/ci_$preset.a.scenario" "out/ci_$preset.b.scenario"
+done
 
 echo
 echo "=== [1c] campaign smoke: 2 presets x 2 seeds, jobs=2 ==="

@@ -18,26 +18,17 @@ namespace {
 
 constexpr const char* kSweepPrefix = "sweep.";
 
-bool is_indexed_family(const std::string& key) {
-  for (const std::string& prefix : scenario::ScenarioSpec::known_prefixes()) {
-    if (key.size() <= prefix.size() ||
-        key.compare(0, prefix.size(), prefix) != 0)
-      continue;
-    bool all_digits = true;
-    for (std::size_t i = prefix.size(); i < key.size(); ++i)
-      all_digits = all_digits && key[i] >= '0' && key[i] <= '9';
-    if (all_digits) return true;
-  }
-  return false;
-}
-
 /// A key the per-run ScenarioSpec::apply understands ("scenario" /
 /// "scenario_file" excluded: the campaign owns scenario selection).
 bool is_scenario_override(const std::string& key) {
   if (key == "scenario" || key == "scenario_file") return false;
   const auto& keys = scenario::ScenarioSpec::known_keys();
   if (std::find(keys.begin(), keys.end(), key) != keys.end()) return true;
-  return is_indexed_family(key);
+  const auto& prefixes = scenario::ScenarioSpec::known_prefixes();
+  return std::any_of(prefixes.begin(), prefixes.end(),
+                     [&key](const std::string& prefix) {
+                       return family_index(key, prefix).has_value();
+                     });
 }
 
 std::vector<std::string> split_list(const std::string& csv,
@@ -87,26 +78,6 @@ std::string sanitize_token(const std::string& text) {
   }
   while (!out.empty() && out.back() == '_') out.pop_back();
   return out;
-}
-
-Config config_from_lines(const std::string& text) {
-  Config config;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const std::string_view trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    const std::size_t eq = trimmed.find('=');
-    if (eq == std::string_view::npos) {
-      config.set(std::string(trimmed), "1");
-    } else {
-      config.set(std::string(trim(trimmed.substr(0, eq))),
-                 std::string(trim(trimmed.substr(eq + 1))));
-    }
-  }
-  return config;
 }
 
 void CampaignSpec::apply(const Config& config) {
@@ -285,7 +256,7 @@ CampaignSpec CampaignSpec::load(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   CampaignSpec spec;
-  spec.apply(config_from_lines(buffer.str()));
+  spec.apply(Config::from_lines(buffer.str()));
   spec.validate();
   return spec;
 }

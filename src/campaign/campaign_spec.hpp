@@ -92,8 +92,7 @@ struct CampaignSpec {
   [[nodiscard]] std::string to_text() const;
 
   /// Campaign-file IO: the to_text() format, one key=value per line, '#'
-  /// comments. (Values may contain commas, so files are line-oriented —
-  /// unlike scenario files they are not Config::from_string parseable.)
+  /// comments, read by Config::from_lines (values may contain commas).
   void save(const std::string& path) const;
   [[nodiscard]] static CampaignSpec load(const std::string& path);
 
@@ -108,9 +107,5 @@ struct CampaignSpec {
 /// Lowercased filesystem-safe token: alnum kept, '.' and '-' kept,
 /// everything else collapsed to '_'.
 [[nodiscard]] std::string sanitize_token(const std::string& text);
-
-/// Parses a line-oriented key=value text (the campaign-file format) into a
-/// Config without splitting values on commas. '#' starts a comment.
-[[nodiscard]] Config config_from_lines(const std::string& text);
 
 }  // namespace greennfv::campaign

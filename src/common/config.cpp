@@ -1,5 +1,8 @@
 #include "common/config.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -38,6 +41,18 @@ Config Config::from_string(std::string_view text) {
       if (i > start) parse_token(config, text.substr(start, i - start));
       start = i + 1;
     }
+  }
+  return config;
+}
+
+Config Config::from_lines(std::string_view text) {
+  Config config;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t end = std::min(text.find('\n', start), text.size());
+    const std::string_view line = text.substr(start, end - start);
+    parse_token(config, line.substr(0, line.find('#')));
+    start = end + 1;
   }
   return config;
 }
@@ -91,28 +106,10 @@ void Config::check_known(
     const std::vector<std::string>& known_prefixes) const {
   std::string unknown;
   for (const auto& [key, value] : values_) {
-    bool found = false;
-    for (const auto& known : known_keys) {
-      if (key == known) {
-        found = true;
-        break;
-      }
-    }
-    // Prefixes name indexed families (flow0=, chain12=): the suffix must
-    // be a bare index, so "flowz" or "flow_rate" is still a typo.
-    for (const auto& prefix : known_prefixes) {
-      if (found) break;
-      if (key.size() <= prefix.size() ||
-          key.compare(0, prefix.size(), prefix) != 0)
-        continue;
-      found = true;
-      for (std::size_t i = prefix.size(); i < key.size(); ++i) {
-        if (key[i] < '0' || key[i] > '9') {
-          found = false;
-          break;
-        }
-      }
-    }
+    bool found = std::find(known_keys.begin(), known_keys.end(), key) !=
+                 known_keys.end();
+    for (const auto& prefix : known_prefixes)
+      found = found || family_index(key, prefix).has_value();
     if (!found) {
       if (!unknown.empty()) unknown += ", ";
       unknown += key;
@@ -122,6 +119,18 @@ void Config::check_known(
     throw std::invalid_argument("Config: unknown key(s): " + unknown +
                                 " (pass help=1 to list accepted keys)");
   }
+}
+
+std::optional<std::size_t> family_index(std::string_view key,
+                                        std::string_view prefix) {
+  if (key.size() <= prefix.size() || !key.starts_with(prefix))
+    return std::nullopt;
+  const char* first = key.data() + prefix.size();
+  const char* last = key.data() + key.size();
+  std::size_t index = 0;
+  const auto [end, error] = std::from_chars(first, last, index);
+  if (end != last) return std::nullopt;
+  return error == std::errc() ? index : SIZE_MAX;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -24,6 +24,11 @@ class Config {
   /// Parses a whitespace/comma separated "k=v k2=v2" string.
   static Config from_string(std::string_view text);
 
+  /// Parses line-oriented text (the scenario- and campaign-file format):
+  /// one key=value per line, so values may hold spaces and commas. '#'
+  /// starts a comment that runs to end of line; blank lines are skipped.
+  static Config from_lines(std::string_view text);
+
   void set(const std::string& key, const std::string& value);
 
   [[nodiscard]] bool has(const std::string& key) const;
@@ -41,9 +46,8 @@ class Config {
 
   /// Rejects mistyped experiment keys: throws std::invalid_argument naming
   /// every key that is neither in `known_keys` nor an indexed-family match
-  /// for one of `known_prefixes` (prefix followed by a bare index: flow0=,
-  /// chain12= — "flowz" is still a typo). A typo'd key must not silently
-  /// select the fallback value.
+  /// for one of `known_prefixes` (see family_index). A typo'd key must not
+  /// silently select the fallback value.
   void check_known(const std::vector<std::string>& known_keys,
                    const std::vector<std::string>& known_prefixes = {}) const;
 
@@ -54,5 +58,12 @@ class Config {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// The index of an indexed-family key: `prefix` followed by a bare index
+/// (flow0, chain12). nullopt for anything else — "flow", "flowz" and
+/// "flow_rate" are not family keys. An index too large for size_t reads
+/// as SIZE_MAX.
+[[nodiscard]] std::optional<std::size_t> family_index(std::string_view key,
+                                                      std::string_view prefix);
 
 }  // namespace greennfv

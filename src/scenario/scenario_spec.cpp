@@ -1,7 +1,10 @@
 #include "scenario/scenario_spec.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,7 +15,15 @@ namespace greennfv::scenario {
 
 namespace {
 
-std::string fmt_double(double value) { return format("%.10g", value); }
+/// %.10g when that reads back as the same double (every hand-written
+/// value with up to 10 significant digits prints as typed), %.17g
+/// otherwise — so a computed value such as 0.1+0.2 survives a save/load.
+std::string fmt_double(double value) {
+  const std::string brief = format("%.10g", value);
+  return std::strtod(brief.c_str(), nullptr) == value
+             ? brief
+             : format("%.17g", value);
+}
 
 traffic::ArrivalKind arrival_from_string(const std::string& name) {
   if (name == "cbr") return traffic::ArrivalKind::kCbr;
@@ -29,16 +40,8 @@ traffic::ArrivalKind arrival_from_string(const std::string& name) {
 void require_contiguous(const Config& config, const std::string& prefix,
                         std::size_t collected) {
   for (const auto& [key, value] : config.entries()) {
-    if (key.size() <= prefix.size() ||
-        key.compare(0, prefix.size(), prefix) != 0)
-      continue;
-    bool all_digits = true;
-    for (std::size_t i = prefix.size(); i < key.size(); ++i)
-      all_digits = all_digits && key[i] >= '0' && key[i] <= '9';
-    if (!all_digits) continue;
-    const std::size_t index = static_cast<std::size_t>(
-        std::stoull(key.substr(prefix.size())));
-    if (index >= collected) {
+    const auto index = family_index(key, prefix);
+    if (index && *index >= collected) {
       throw std::invalid_argument(
           "scenario: " + key + " leaves a gap — " + prefix +
           "N entries must be contiguous from " + prefix + "0");
@@ -56,6 +59,207 @@ double parse_double(const std::string& text, const std::string& what) {
     throw std::invalid_argument("scenario: " + what + " is not a number: " +
                                 text);
   }
+}
+
+/// Integer keys are counts and seeds: bare digits, no sign, at most `max`.
+/// A value that does not fit is an error, never a wrapped or clamped one.
+std::uint64_t parse_count(const std::string& key, const std::string& text,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (end != last || error != std::errc() || value > max) {
+    throw std::invalid_argument(format(
+        "scenario: %s must be an integer in [0, %llu]: %s", key.c_str(),
+        static_cast<unsigned long long>(max), text.c_str()));
+  }
+  return value;
+}
+
+// The text form of each field type: read_key parses a key's value into
+// its field, key_text prints the field back.
+void read_key(const Config& config, const std::string& key, int& field) {
+  if (const auto value = config.get(key))
+    field = static_cast<int>(
+        parse_count(key, *value, std::numeric_limits<int>::max()));
+}
+void read_key(const Config& config, const std::string& key,
+              std::uint64_t& field) {
+  if (const auto value = config.get(key))
+    field = parse_count(key, *value,
+                        std::numeric_limits<std::uint64_t>::max());
+}
+void read_key(const Config& config, const std::string& key, double& field) {
+  field = config.get_double(key, field);
+}
+void read_key(const Config& config, const std::string& key, bool& field) {
+  field = config.get_bool(key, field);
+}
+void read_key(const Config& config, const std::string& key,
+              std::string& field) {
+  field = config.get_string(key, field);
+}
+void read_key(const Config& config, const std::string& key,
+              cluster::PlacementPolicy& field) {
+  if (const auto value = config.get(key))
+    field = placement_from_string(*value);
+}
+void read_key(const Config& config, const std::string& key,
+              traffic::RateProfile::Kind& field) {
+  if (const auto value = config.get(key))
+    field = traffic::profile_kind_from_string(*value);
+}
+void read_key(const Config& config, const std::string& key,
+              core::SlaKind& field) {
+  if (const auto value = config.get(key))
+    field = sla_kind_from_string(*value);
+}
+
+std::string key_text(int value) { return std::to_string(value); }
+std::string key_text(std::uint64_t value) { return std::to_string(value); }
+std::string key_text(double value) { return fmt_double(value); }
+std::string key_text(bool value) { return value ? "1" : "0"; }
+std::string key_text(const std::string& value) { return value; }
+std::string key_text(cluster::PlacementPolicy value) {
+  return cluster::to_string(value);
+}
+std::string key_text(traffic::RateProfile::Kind value) {
+  return traffic::to_string(value);
+}
+std::string key_text(core::SlaKind value) { return scenario::to_string(value); }
+
+/// The scenario vocabulary, each scalar key declared once with the field it
+/// sets, in to_text() order; the field's type fixes the key's text form
+/// (read_key / key_text). apply(), to_text() and known_keys() all walk this
+/// table: `key(name, field)` visits a scalar key, and `families()` runs
+/// where the hand-written chains/chainN and flows/flowN keys sit.
+template <class Spec, class Key, class Families>
+void for_each_key(Spec& s, Key&& key, Families&& families) {
+  key("name", s.name);
+  key("nodes", s.num_nodes);
+  key("placement", s.placement);
+  key("node_cores", s.node.total_cores);
+  key("node_fmin_ghz", s.node.fmin_ghz);
+  key("node_fmax_ghz", s.node.fmax_ghz);
+  key("node_line_rate_gbps", s.node.line_rate_gbps);
+  key("node_p_idle_w", s.node.p_idle_w);
+  key("node_p_max_w", s.node.p_max_w);
+  key("node_p_sleep_w", s.node.p_sleep_w);
+  key("node_wake_latency_s", s.node.wake_latency_s);
+  key("fleet.enabled", s.fleet.enabled);
+  key("fleet.horizon", s.fleet.horizon_windows);
+  key("fleet.arrival_rate", s.fleet.arrival_rate);
+  key("fleet.mean_holding", s.fleet.mean_holding_windows);
+  key("fleet.flows_per_chain", s.fleet.flows_per_chain);
+  key("fleet.chain_gbps", s.fleet.chain_offered_gbps);
+  key("fleet.policy", s.fleet.policy);
+  key("fleet.migration", s.fleet.migration);
+  key("fleet.migration_downtime_s", s.fleet.migration_downtime_s);
+  key("fleet.migration_energy_j", s.fleet.migration_energy_j);
+  key("fleet.consolidate_below", s.fleet.consolidate_below);
+  key("fleet.power_gating", s.fleet.power_gating);
+  key("fleet.sleep_after", s.fleet.sleep_after_windows);
+  key("topology.enabled", s.topology.enabled);
+  key("topology.preset", s.topology.preset);
+  key("topology.routing", s.topology.routing);
+  key("topology.hosts_per_leaf", s.topology.hosts_per_leaf);
+  key("topology.spines", s.topology.spines);
+  key("topology.fat_k", s.topology.fat_k);
+  key("topology.link_gbps", s.topology.link_gbps);
+  key("topology.link_latency_us", s.topology.link_latency_us);
+  key("topology.core_gbps", s.topology.core_gbps);
+  key("topology.core_latency_us", s.topology.core_latency_us);
+  key("topology.link_idle_w", s.topology.link_idle_w);
+  key("topology.link_nj_per_bit", s.topology.link_nj_per_bit);
+  key("sla.latency", s.latency_sla_us);
+  key("fault.enabled", s.fault.enabled);
+  key("fault.node_crash_rate", s.fault.node_crash_rate);
+  key("fault.link_fail_rate", s.fault.link_fail_rate);
+  key("fault.rack_outage_rate", s.fault.rack_outage_rate);
+  key("fault.rack_size", s.fault.rack_size);
+  key("fault.mean_repair", s.fault.mean_repair_windows);
+  key("fault.replace_downtime_s", s.fault.replace_downtime_s);
+  key("fault.replace_energy_j", s.fault.replace_energy_j);
+  key("fault.wake_storm_prob", s.fault.wake_storm_prob);
+  key("fault.wake_storm_factor", s.fault.wake_storm_factor);
+  families();
+  key("offered_gbps", s.total_offered_gbps);
+  key("profile", s.profile.kind);
+  key("profile_period_s", s.profile.period_s);
+  key("profile_amplitude", s.profile.amplitude);
+  key("profile_surge_start_s", s.profile.surge_start_s);
+  key("profile_surge_duration_s", s.profile.surge_duration_s);
+  key("profile_surge_factor", s.profile.surge_factor);
+  key("sla", s.sla_kind);
+  key("energy_budget", s.energy_budget_j);
+  key("throughput_floor", s.throughput_floor_gbps);
+  key("shaped_reward", s.shaped_reward);
+  key("window_s", s.window_s);
+  key("sub_windows", s.sub_windows);
+  key("steps_per_episode", s.steps_per_episode);
+  key("eval_windows", s.eval_windows);
+  key("episodes", s.episodes);
+  key("q_episodes", s.q_episodes);
+  key("candidates", s.candidates);
+  key("prioritized", s.prioritized_replay);
+  key("noise_sigma", s.noise_sigma);
+  key("noise_decay", s.noise_decay);
+  key("seed", s.seed);
+}
+
+/// An indexed family (chain0=, chain1=, ...) and its count key (chains=).
+/// An explicit count without indexed entries reverts the family to its
+/// generated/standard form; entries, contiguous from 0, set the count.
+template <class T, class Parse>
+void apply_family(const Config& config, const std::string& count_key,
+                  const std::string& prefix, int& count,
+                  std::vector<T>& items, Parse parse) {
+  const bool indexed = config.has(prefix + "0");
+  if (config.has(count_key)) {
+    read_key(config, count_key, count);
+    if (!indexed) items.clear();
+  }
+  if (!indexed) {
+    require_contiguous(config, prefix, 0);  // chain1= without chain0=
+    return;
+  }
+  items.clear();
+  for (int i = 0;; ++i) {
+    const auto entry = config.get(prefix + std::to_string(i));
+    if (!entry) break;
+    items.push_back(parse(*entry, i));
+  }
+  require_contiguous(config, prefix, items.size());
+  if (config.has(count_key) &&
+      static_cast<std::size_t>(count) != items.size()) {
+    throw std::invalid_argument("scenario: " + count_key +
+                                "= disagrees with the number of " + prefix +
+                                "N= entries");
+  }
+  count = static_cast<int>(items.size());
+}
+
+template <class T, class Print>
+void write_family(std::ostream& out, const char* count_key,
+                  const char* prefix, int count, const std::vector<T>& items,
+                  Print print) {
+  out << count_key << "=" << count << "\n";
+  for (std::size_t i = 0; i < items.size(); ++i)
+    out << prefix << i << "=" << print(items[i]) << "\n";
+}
+
+std::vector<std::string> chain_from_text(const std::string& text, int) {
+  std::vector<std::string> nfs;
+  for (const auto& nf : split(text, '+'))
+    if (!nf.empty()) nfs.push_back(nf);
+  return nfs;
+}
+
+std::string chain_to_text(const std::vector<std::string>& nfs) {
+  std::string text;
+  for (std::size_t i = 0; i < nfs.size(); ++i)
+    text += (i ? "+" : "") + nfs[i];
+  return text;
 }
 
 }  // namespace
@@ -181,281 +385,31 @@ core::TrainerConfig ScenarioSpec::trainer_config(const core::Sla& sla)
 }
 
 void ScenarioSpec::apply(const Config& config) {
-  name = config.get_string("name", name);
-  num_nodes = static_cast<int>(config.get_int("nodes", num_nodes));
-  if (const auto p = config.get("placement"))
-    placement = placement_from_string(*p);
-
-  node.total_cores =
-      static_cast<int>(config.get_int("node_cores", node.total_cores));
-  node.fmin_ghz = config.get_double("node_fmin_ghz", node.fmin_ghz);
-  node.fmax_ghz = config.get_double("node_fmax_ghz", node.fmax_ghz);
-  node.line_rate_gbps =
-      config.get_double("node_line_rate_gbps", node.line_rate_gbps);
-  node.p_idle_w = config.get_double("node_p_idle_w", node.p_idle_w);
-  node.p_max_w = config.get_double("node_p_max_w", node.p_max_w);
-  node.p_sleep_w = config.get_double("node_p_sleep_w", node.p_sleep_w);
-  node.wake_latency_s =
-      config.get_double("node_wake_latency_s", node.wake_latency_s);
-
-  // --- fleet (dynamic multi-node simulation) -------------------------------
-  fleet.enabled = config.get_bool("fleet.enabled", fleet.enabled);
-  fleet.horizon_windows = static_cast<int>(
-      config.get_int("fleet.horizon", fleet.horizon_windows));
-  fleet.arrival_rate =
-      config.get_double("fleet.arrival_rate", fleet.arrival_rate);
-  fleet.mean_holding_windows =
-      config.get_double("fleet.mean_holding", fleet.mean_holding_windows);
-  fleet.flows_per_chain = static_cast<int>(
-      config.get_int("fleet.flows_per_chain", fleet.flows_per_chain));
-  fleet.chain_offered_gbps =
-      config.get_double("fleet.chain_gbps", fleet.chain_offered_gbps);
-  fleet.policy = config.get_string("fleet.policy", fleet.policy);
-  fleet.migration = config.get_bool("fleet.migration", fleet.migration);
-  fleet.migration_downtime_s = config.get_double(
-      "fleet.migration_downtime_s", fleet.migration_downtime_s);
-  fleet.migration_energy_j = config.get_double("fleet.migration_energy_j",
-                                               fleet.migration_energy_j);
-  fleet.consolidate_below =
-      config.get_double("fleet.consolidate_below", fleet.consolidate_below);
-  fleet.power_gating =
-      config.get_bool("fleet.power_gating", fleet.power_gating);
-  fleet.sleep_after_windows = static_cast<int>(
-      config.get_int("fleet.sleep_after", fleet.sleep_after_windows));
-
-  // --- topology (inter-node network fabric) --------------------------------
-  topology.enabled = config.get_bool("topology.enabled", topology.enabled);
-  topology.preset = config.get_string("topology.preset", topology.preset);
-  topology.routing = config.get_string("topology.routing", topology.routing);
-  topology.hosts_per_leaf = static_cast<int>(
-      config.get_int("topology.hosts_per_leaf", topology.hosts_per_leaf));
-  topology.spines =
-      static_cast<int>(config.get_int("topology.spines", topology.spines));
-  topology.fat_k =
-      static_cast<int>(config.get_int("topology.fat_k", topology.fat_k));
-  topology.link_gbps =
-      config.get_double("topology.link_gbps", topology.link_gbps);
-  topology.link_latency_us =
-      config.get_double("topology.link_latency_us", topology.link_latency_us);
-  topology.core_gbps =
-      config.get_double("topology.core_gbps", topology.core_gbps);
-  topology.core_latency_us =
-      config.get_double("topology.core_latency_us", topology.core_latency_us);
-  topology.link_idle_w =
-      config.get_double("topology.link_idle_w", topology.link_idle_w);
-  topology.link_nj_per_bit =
-      config.get_double("topology.link_nj_per_bit", topology.link_nj_per_bit);
-  latency_sla_us = config.get_double("sla.latency", latency_sla_us);
-
-  // --- faults (deterministic failure injection) ----------------------------
-  fault.enabled = config.get_bool("fault.enabled", fault.enabled);
-  fault.node_crash_rate =
-      config.get_double("fault.node_crash_rate", fault.node_crash_rate);
-  fault.link_fail_rate =
-      config.get_double("fault.link_fail_rate", fault.link_fail_rate);
-  fault.rack_outage_rate =
-      config.get_double("fault.rack_outage_rate", fault.rack_outage_rate);
-  fault.rack_size =
-      static_cast<int>(config.get_int("fault.rack_size", fault.rack_size));
-  fault.mean_repair_windows =
-      config.get_double("fault.mean_repair", fault.mean_repair_windows);
-  fault.replace_downtime_s = config.get_double("fault.replace_downtime_s",
-                                               fault.replace_downtime_s);
-  fault.replace_energy_j =
-      config.get_double("fault.replace_energy_j", fault.replace_energy_j);
-  fault.wake_storm_prob =
-      config.get_double("fault.wake_storm_prob", fault.wake_storm_prob);
-  fault.wake_storm_factor =
-      config.get_double("fault.wake_storm_factor", fault.wake_storm_factor);
-
-  // Scalar counts first: an explicit count without indexed entries reverts
-  // the family to its generated/standard form.
-  if (config.has("chains")) {
-    num_chains = static_cast<int>(config.get_int("chains", num_chains));
-    if (!config.has("chain0")) chain_nfs.clear();
-  }
-  if (config.has("flows")) {
-    num_flows = static_cast<int>(config.get_int("flows", num_flows));
-    if (!config.has("flow0")) flows.clear();
-  }
-
-  // Indexed families: contiguous from 0.
-  if (config.has("chain0")) {
-    chain_nfs.clear();
-    for (int c = 0;; ++c) {
-      const auto entry = config.get(format("chain%d", c));
-      if (!entry) break;
-      std::vector<std::string> nfs;
-      for (const auto& nf : split(*entry, '+'))
-        if (!nf.empty()) nfs.push_back(nf);
-      chain_nfs.push_back(std::move(nfs));
-    }
-    require_contiguous(config, "chain", chain_nfs.size());
-    if (config.has("chains") &&
-        static_cast<std::size_t>(num_chains) != chain_nfs.size()) {
-      throw std::invalid_argument(
-          "scenario: chains= disagrees with the number of chainN= entries");
-    }
-    num_chains = static_cast<int>(chain_nfs.size());
-  } else {
-    require_contiguous(config, "chain", 0);  // chain1= without chain0=
-  }
-  if (config.has("flow0")) {
-    flows.clear();
-    for (int f = 0;; ++f) {
-      const auto entry = config.get(format("flow%d", f));
-      if (!entry) break;
-      flows.push_back(flow_from_text(*entry, f));
-    }
-    require_contiguous(config, "flow", flows.size());
-    if (config.has("flows") &&
-        static_cast<std::size_t>(num_flows) != flows.size()) {
-      throw std::invalid_argument(
-          "scenario: flows= disagrees with the number of flowN= entries");
-    }
-    num_flows = static_cast<int>(flows.size());
-  } else {
-    require_contiguous(config, "flow", 0);  // flow1= without flow0=
-  }
-
-  total_offered_gbps =
-      config.get_double("offered_gbps", total_offered_gbps);
-  if (const auto p = config.get("profile"))
-    profile.kind = traffic::profile_kind_from_string(*p);
-  profile.period_s =
-      config.get_double("profile_period_s", profile.period_s);
-  profile.amplitude =
-      config.get_double("profile_amplitude", profile.amplitude);
-  profile.surge_start_s =
-      config.get_double("profile_surge_start_s", profile.surge_start_s);
-  profile.surge_duration_s = config.get_double("profile_surge_duration_s",
-                                               profile.surge_duration_s);
-  profile.surge_factor =
-      config.get_double("profile_surge_factor", profile.surge_factor);
-
-  if (const auto s = config.get("sla")) sla_kind = sla_kind_from_string(*s);
-  energy_budget_j = config.get_double("energy_budget", energy_budget_j);
-  throughput_floor_gbps =
-      config.get_double("throughput_floor", throughput_floor_gbps);
-  shaped_reward = config.get_bool("shaped_reward", shaped_reward);
-
-  window_s = config.get_double("window_s", window_s);
-  sub_windows = static_cast<int>(config.get_int("sub_windows", sub_windows));
-  steps_per_episode = static_cast<int>(
-      config.get_int("steps_per_episode", steps_per_episode));
-  eval_windows =
-      static_cast<int>(config.get_int("eval_windows", eval_windows));
-
-  episodes = static_cast<int>(config.get_int("episodes", episodes));
-  q_episodes = static_cast<int>(config.get_int("q_episodes", q_episodes));
-  candidates = static_cast<int>(config.get_int("candidates", candidates));
-  prioritized_replay = config.get_bool("prioritized", prioritized_replay);
-  noise_sigma = config.get_double("noise_sigma", noise_sigma);
-  noise_decay = config.get_double("noise_decay", noise_decay);
-  seed = static_cast<std::uint64_t>(
-      config.get_int("seed", static_cast<std::int64_t>(seed)));
+  for_each_key(
+      *this,
+      [&config](const std::string& key, auto& field) {
+        read_key(config, key, field);
+      },
+      [&] {
+        apply_family(config, "chains", "chain", num_chains, chain_nfs,
+                     chain_from_text);
+        apply_family(config, "flows", "flow", num_flows, flows,
+                     flow_from_text);
+      });
 }
 
 std::string ScenarioSpec::to_text() const {
   std::ostringstream out;
-  out << "name=" << name << "\n";
-  out << "nodes=" << num_nodes << "\n";
-  out << "placement=" << cluster::to_string(placement) << "\n";
-  out << "node_cores=" << node.total_cores << "\n";
-  out << "node_fmin_ghz=" << fmt_double(node.fmin_ghz) << "\n";
-  out << "node_fmax_ghz=" << fmt_double(node.fmax_ghz) << "\n";
-  out << "node_line_rate_gbps=" << fmt_double(node.line_rate_gbps) << "\n";
-  out << "node_p_idle_w=" << fmt_double(node.p_idle_w) << "\n";
-  out << "node_p_max_w=" << fmt_double(node.p_max_w) << "\n";
-  out << "node_p_sleep_w=" << fmt_double(node.p_sleep_w) << "\n";
-  out << "node_wake_latency_s=" << fmt_double(node.wake_latency_s) << "\n";
-  out << "fleet.enabled=" << (fleet.enabled ? 1 : 0) << "\n";
-  out << "fleet.horizon=" << fleet.horizon_windows << "\n";
-  out << "fleet.arrival_rate=" << fmt_double(fleet.arrival_rate) << "\n";
-  out << "fleet.mean_holding=" << fmt_double(fleet.mean_holding_windows)
-      << "\n";
-  out << "fleet.flows_per_chain=" << fleet.flows_per_chain << "\n";
-  out << "fleet.chain_gbps=" << fmt_double(fleet.chain_offered_gbps)
-      << "\n";
-  out << "fleet.policy=" << fleet.policy << "\n";
-  out << "fleet.migration=" << (fleet.migration ? 1 : 0) << "\n";
-  out << "fleet.migration_downtime_s="
-      << fmt_double(fleet.migration_downtime_s) << "\n";
-  out << "fleet.migration_energy_j=" << fmt_double(fleet.migration_energy_j)
-      << "\n";
-  out << "fleet.consolidate_below=" << fmt_double(fleet.consolidate_below)
-      << "\n";
-  out << "fleet.power_gating=" << (fleet.power_gating ? 1 : 0) << "\n";
-  out << "fleet.sleep_after=" << fleet.sleep_after_windows << "\n";
-  out << "topology.enabled=" << (topology.enabled ? 1 : 0) << "\n";
-  out << "topology.preset=" << topology.preset << "\n";
-  out << "topology.routing=" << topology.routing << "\n";
-  out << "topology.hosts_per_leaf=" << topology.hosts_per_leaf << "\n";
-  out << "topology.spines=" << topology.spines << "\n";
-  out << "topology.fat_k=" << topology.fat_k << "\n";
-  out << "topology.link_gbps=" << fmt_double(topology.link_gbps) << "\n";
-  out << "topology.link_latency_us=" << fmt_double(topology.link_latency_us)
-      << "\n";
-  out << "topology.core_gbps=" << fmt_double(topology.core_gbps) << "\n";
-  out << "topology.core_latency_us=" << fmt_double(topology.core_latency_us)
-      << "\n";
-  out << "topology.link_idle_w=" << fmt_double(topology.link_idle_w) << "\n";
-  out << "topology.link_nj_per_bit=" << fmt_double(topology.link_nj_per_bit)
-      << "\n";
-  out << "sla.latency=" << fmt_double(latency_sla_us) << "\n";
-  out << "fault.enabled=" << (fault.enabled ? 1 : 0) << "\n";
-  out << "fault.node_crash_rate=" << fmt_double(fault.node_crash_rate)
-      << "\n";
-  out << "fault.link_fail_rate=" << fmt_double(fault.link_fail_rate) << "\n";
-  out << "fault.rack_outage_rate=" << fmt_double(fault.rack_outage_rate)
-      << "\n";
-  out << "fault.rack_size=" << fault.rack_size << "\n";
-  out << "fault.mean_repair=" << fmt_double(fault.mean_repair_windows)
-      << "\n";
-  out << "fault.replace_downtime_s=" << fmt_double(fault.replace_downtime_s)
-      << "\n";
-  out << "fault.replace_energy_j=" << fmt_double(fault.replace_energy_j)
-      << "\n";
-  out << "fault.wake_storm_prob=" << fmt_double(fault.wake_storm_prob)
-      << "\n";
-  out << "fault.wake_storm_factor=" << fmt_double(fault.wake_storm_factor)
-      << "\n";
-  out << "chains=" << num_chains << "\n";
-  for (std::size_t c = 0; c < chain_nfs.size(); ++c) {
-    out << "chain" << c << "=";
-    for (std::size_t i = 0; i < chain_nfs[c].size(); ++i) {
-      if (i) out << "+";
-      out << chain_nfs[c][i];
-    }
-    out << "\n";
-  }
-  out << "flows=" << num_flows << "\n";
-  for (std::size_t f = 0; f < flows.size(); ++f)
-    out << "flow" << f << "=" << flow_to_text(flows[f]) << "\n";
-  out << "offered_gbps=" << fmt_double(total_offered_gbps) << "\n";
-  out << "profile=" << traffic::to_string(profile.kind) << "\n";
-  out << "profile_period_s=" << fmt_double(profile.period_s) << "\n";
-  out << "profile_amplitude=" << fmt_double(profile.amplitude) << "\n";
-  out << "profile_surge_start_s=" << fmt_double(profile.surge_start_s)
-      << "\n";
-  out << "profile_surge_duration_s=" << fmt_double(profile.surge_duration_s)
-      << "\n";
-  out << "profile_surge_factor=" << fmt_double(profile.surge_factor) << "\n";
-  out << "sla=" << scenario::to_string(sla_kind) << "\n";
-  out << "energy_budget=" << fmt_double(energy_budget_j) << "\n";
-  out << "throughput_floor=" << fmt_double(throughput_floor_gbps) << "\n";
-  out << "shaped_reward=" << (shaped_reward ? 1 : 0) << "\n";
-  out << "window_s=" << fmt_double(window_s) << "\n";
-  out << "sub_windows=" << sub_windows << "\n";
-  out << "steps_per_episode=" << steps_per_episode << "\n";
-  out << "eval_windows=" << eval_windows << "\n";
-  out << "episodes=" << episodes << "\n";
-  out << "q_episodes=" << q_episodes << "\n";
-  out << "candidates=" << candidates << "\n";
-  out << "prioritized=" << (prioritized_replay ? 1 : 0) << "\n";
-  out << "noise_sigma=" << fmt_double(noise_sigma) << "\n";
-  out << "noise_decay=" << fmt_double(noise_decay) << "\n";
-  out << "seed=" << seed << "\n";
+  for_each_key(
+      *this,
+      [&out](const char* key, const auto& field) {
+        out << key << "=" << key_text(field) << "\n";
+      },
+      [&] {
+        write_family(out, "chains", "chain", num_chains, chain_nfs,
+                     chain_to_text);
+        write_family(out, "flows", "flow", num_flows, flows, flow_to_text);
+      });
   return out.str();
 }
 
@@ -474,15 +428,9 @@ ScenarioSpec ScenarioSpec::load(const std::string& path) {
   std::ifstream in(path);
   if (!in)
     throw std::runtime_error("scenario: cannot read " + path);
-  std::string text;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    text += line;
-    text += "\n";
-  }
-  const Config config = Config::from_string(text);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Config config = Config::from_lines(text.str());
   config.check_known(known_keys(), known_prefixes());
   ScenarioSpec spec;
   spec.apply(config);
@@ -650,47 +598,15 @@ void ScenarioSpec::validate() const {
 }
 
 const std::vector<std::string>& ScenarioSpec::known_keys() {
-  static const std::vector<std::string> keys = {
-      "scenario",       "scenario_file",
-      "name",           "nodes",
-      "placement",      "node_cores",
-      "node_fmin_ghz",  "node_fmax_ghz",
-      "node_line_rate_gbps", "node_p_idle_w",
-      "node_p_max_w",   "node_p_sleep_w",
-      "node_wake_latency_s",
-      "fleet.enabled",  "fleet.horizon",
-      "fleet.arrival_rate", "fleet.mean_holding",
-      "fleet.flows_per_chain", "fleet.chain_gbps",
-      "fleet.policy",   "fleet.migration",
-      "fleet.migration_downtime_s", "fleet.migration_energy_j",
-      "fleet.consolidate_below", "fleet.power_gating",
-      "fleet.sleep_after",
-      "topology.enabled", "topology.preset",
-      "topology.routing", "topology.hosts_per_leaf",
-      "topology.spines",  "topology.fat_k",
-      "topology.link_gbps", "topology.link_latency_us",
-      "topology.core_gbps", "topology.core_latency_us",
-      "topology.link_idle_w", "topology.link_nj_per_bit",
-      "sla.latency",
-      "fault.enabled",  "fault.node_crash_rate",
-      "fault.link_fail_rate", "fault.rack_outage_rate",
-      "fault.rack_size", "fault.mean_repair",
-      "fault.replace_downtime_s", "fault.replace_energy_j",
-      "fault.wake_storm_prob", "fault.wake_storm_factor",
-      "chains",
-      "flows",          "offered_gbps",
-      "profile",        "profile_period_s",
-      "profile_amplitude", "profile_surge_start_s",
-      "profile_surge_duration_s", "profile_surge_factor",
-      "sla",            "energy_budget",
-      "throughput_floor", "shaped_reward",
-      "window_s",       "sub_windows",
-      "steps_per_episode", "eval_windows",
-      "episodes",       "q_episodes",
-      "candidates",     "prioritized",
-      "noise_sigma",    "noise_decay",
-      "seed",
-  };
+  static const std::vector<std::string> keys = [] {
+    std::vector<std::string> names = {"scenario", "scenario_file"};
+    ScenarioSpec spec;
+    for_each_key(
+        spec,
+        [&names](const char* key, const auto&) { names.emplace_back(key); },
+        [&names] { names.insert(names.end(), {"chains", "flows"}); });
+    return names;
+  }();
   return keys;
 }
 

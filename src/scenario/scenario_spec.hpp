@@ -182,15 +182,19 @@ struct ScenarioSpec {
 
   /// Overwrites fields named by `config` keys (see known_keys()). Unknown
   /// keys are NOT rejected here — callers combine scenario keys with their
-  /// own and call Config::check_known with the union.
+  /// own and call Config::check_known with the union. Integer keys take
+  /// bare non-negative digits that fit their field (seed: full uint64).
   void apply(const Config& config);
 
-  /// Serializes to "key=value" lines; apply(Config::from_string(text))
-  /// on a default spec reproduces this spec exactly.
+  /// Serializes to one "key=value" line per key;
+  /// apply(Config::from_lines(text)) on a default spec reproduces this
+  /// spec exactly (doubles print exactly, seeds in full). from_string
+  /// agrees only while no value holds a space or a comma.
   [[nodiscard]] std::string to_text() const;
 
-  /// Scenario-file IO. Files are the to_text() format; '#' starts a
-  /// comment that runs to end of line.
+  /// Scenario-file IO. Files are the to_text() format, read by
+  /// Config::from_lines: one key=value per line, '#' starts a comment
+  /// that runs to end of line.
   void save(const std::string& path) const;
   [[nodiscard]] static ScenarioSpec load(const std::string& path);
 

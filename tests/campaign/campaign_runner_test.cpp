@@ -359,7 +359,7 @@ TEST(CampaignRunner, ManifestListsEveryRunAndParses) {
   // The spec text round-trips back into an equivalent campaign.
   CampaignSpec from_manifest;
   from_manifest.apply(
-      config_from_lines(manifest.at("spec").as_string()));
+      Config::from_lines(manifest.at("spec").as_string()));
   EXPECT_EQ(from_manifest.expand().size(), runner.matrix().size());
   // Aggregates in the manifest are finite.
   for (const Json& cell : manifest.at("summary").at("cells").elements()) {

@@ -133,7 +133,7 @@ TEST(CampaignSpec, TextFormRoundTripsIncludingCommaValues) {
   // The file format is line-oriented, so comma-separated values survive
   // (Config::from_string would have split them).
   CampaignSpec back;
-  back.apply(config_from_lines(spec.to_text()));
+  back.apply(Config::from_lines(spec.to_text()));
   EXPECT_EQ(back.to_text(), spec.to_text());
   EXPECT_EQ(back.seeds, spec.seeds);
   ASSERT_EQ(back.axes.size(), 1u);

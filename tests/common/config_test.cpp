@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace greennfv {
 namespace {
 
@@ -76,6 +78,28 @@ TEST(Config, CheckKnownPrefixSuffixMustBeAnIndex) {
       std::invalid_argument);
   EXPECT_NO_THROW(
       Config::from_string("flow12=x").check_known({}, {"flow"}));
+}
+
+TEST(Config, FromLinesReadsOneKeyValuePerLine) {
+  // The file format: values keep their spaces and commas, '#' comments
+  // run to end of line, blank lines are skipped, bare words are flags.
+  const Config c = Config::from_lines(
+      "# header\nname = my run\nseeds=1,2 # two\n\n  verbose\nk=1\nk=2");
+  EXPECT_EQ(c.get_string("name", ""), "my run");
+  EXPECT_EQ(c.get_string("seeds", ""), "1,2");
+  EXPECT_TRUE(c.get_bool("verbose", false));
+  EXPECT_EQ(c.get_int("k", 0), 2);
+  EXPECT_EQ(c.entries().size(), 4u);
+  EXPECT_TRUE(Config::from_lines("").entries().empty());
+}
+
+TEST(Config, FamilyIndexReadsOnlyABareIndex) {
+  EXPECT_EQ(family_index("flow0", "flow"), 0u);
+  EXPECT_EQ(family_index("chain12", "chain"), 12u);
+  EXPECT_EQ(family_index("flow99999999999999999999", "flow"), SIZE_MAX);
+  for (const char* key : {"flow", "flowz", "flow_rate", "flow-1", "flow+1",
+                          "flow1a", "chain0"})
+    EXPECT_FALSE(family_index(key, "flow").has_value()) << key;
 }
 
 TEST(Config, WhitespaceTrimmed) {

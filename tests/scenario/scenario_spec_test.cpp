@@ -61,6 +61,84 @@ TEST(ScenarioSpec, LoadRejectsMistypedKeys) {
   std::remove(path.c_str());
 }
 
+TEST(ScenarioSpec, FileRoundTripKeepsSpacesInValues) {
+  // A file line holds one key=value, so a spaced name survives save/load.
+  const std::string path = "/tmp/gnfv_scenario_spaced.scenario";
+  ScenarioSpec original = preset("ci-smoke");
+  original.name = "my run";
+  original.save(path);
+  const ScenarioSpec loaded = ScenarioSpec::load(path);
+  EXPECT_EQ(loaded.name, "my run");
+  EXPECT_EQ(loaded.to_text(), original.to_text());
+  std::remove(path.c_str());
+}
+
+TEST(ScenarioSpec, TextRoundTripKeepsEveryDoubleExact) {
+  // With %.10g alone, 0.1+0.2 printed as 0.3 and 1-1e-12 as 1: two
+  // different specs shared one text, the campaign resume coordinate.
+  ScenarioSpec spec;
+  spec.fleet.chain_offered_gbps = 0.1 + 0.2;
+  spec.noise_decay = 1.0 - 1e-12;
+  spec.flows = {flow_from_text("udp:cbr:512:1e6:0", 0)};
+  spec.flows[0].mean_rate_pps = 1e6 / 3.0;
+  spec.num_flows = 1;
+  ScenarioSpec reparsed;
+  reparsed.apply(Config::from_lines(spec.to_text()));
+  EXPECT_EQ(reparsed.fleet.chain_offered_gbps, 0.1 + 0.2);
+  EXPECT_EQ(reparsed.noise_decay, 1.0 - 1e-12);
+  EXPECT_EQ(reparsed.flows[0].mean_rate_pps, 1e6 / 3.0);
+  EXPECT_EQ(reparsed.to_text(), spec.to_text());
+  // A value typed with up to 10 significant digits still prints as typed.
+  EXPECT_NE(ScenarioSpec{}.to_text().find("\nnoise_decay=0.9985\n"),
+            std::string::npos);
+}
+
+TEST(ScenarioSpecApply, SeedsKeepTheFullUnsignedRange) {
+  // Campaign auto_seeds draws full 64-bit seeds.
+  ScenarioSpec spec;
+  spec.apply(Config::from_string("seed=17293822569102704641"));
+  EXPECT_EQ(spec.seed, 17293822569102704641ull);
+  ScenarioSpec reparsed;
+  reparsed.apply(Config::from_lines(spec.to_text()));
+  EXPECT_EQ(reparsed.seed, 17293822569102704641ull);
+  spec.apply(Config::from_string("seed=18446744073709551615"));
+  EXPECT_EQ(spec.seed, 18446744073709551615ull);
+  EXPECT_THROW(spec.apply(Config::from_string("seed=18446744073709551616")),
+               std::invalid_argument);
+  EXPECT_THROW(spec.apply(Config::from_string("seed=-5")),
+               std::invalid_argument);
+}
+
+TEST(ScenarioSpecApply, IntegerKeysRejectNegativeAndOutOfRangeValues) {
+  // Narrowing once turned nodes=4294967297 chains=4294967299 into a valid
+  // nodes=1 chains=3 scenario. The error names the key.
+  for (const std::string bad :
+       {"nodes=4294967297", "chains=4294967299", "flows=2147483648",
+        "fleet.horizon=-1", "episodes=-3", "fault.rack_size=-1"}) {
+    ScenarioSpec spec;
+    try {
+      spec.apply(Config::from_string(bad));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.substr(0, bad.find('='))),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ScenarioSpec spec;
+  spec.apply(Config::from_string("nodes=2147483647 chains=0"));
+  EXPECT_EQ(spec.num_nodes, 2147483647);
+  EXPECT_EQ(spec.num_chains, 0);
+}
+
+TEST(ScenarioSpecApply, FamilyIndexPastSizeTIsAGap) {
+  // Not a stray std::out_of_range from the index parse.
+  ScenarioSpec spec;
+  EXPECT_THROW(spec.apply(Config::from_string(
+                   "chain0=firewall chain99999999999999999999=nat")),
+               std::invalid_argument);
+}
+
 TEST(Presets, RegistryResolvesEveryNameAndValidates) {
   const auto names = preset_names();
   ASSERT_GE(names.size(), 5u);
@@ -234,7 +312,9 @@ TEST(FleetSpec, ValidationNamesTheOffendingField) {
     EXPECT_THROW(spec.validate(), std::invalid_argument) << overrides;
   };
   rejects("fleet.policy=round-robin");
-  rejects("fleet.horizon=-1");
+  // A negative count never reaches validate(): apply() rejects it.
+  EXPECT_THROW(ScenarioSpec{}.apply(Config::from_string("fleet.horizon=-1")),
+               std::invalid_argument);
   rejects("fleet.arrival_rate=-0.5");
   rejects("fleet.mean_holding=0");
   rejects("fleet.flows_per_chain=0");
