@@ -41,6 +41,29 @@ for preset in fault-smoke mega-fleet tcp-heavy; do
     save="out/ci_$preset.b.scenario"
   cmp "out/ci_$preset.a.scenario" "out/ci_$preset.b.scenario"
 done
+# Out-of-domain keys are refused up front with exit 2 and the key named:
+# not an abort deep in the hardware model, not a campaign that dies
+# mid-sweep, not a saved scenario holding nan.
+expect_refusal() {
+  local key="$1" status=0
+  shift
+  "$@" > out/ci_refusal.log 2>&1 || status=$?
+  if [[ $status -ne 2 ]] || ! grep -q "$key" out/ci_refusal.log; then
+    echo "expected a refusal naming $key (exit 2), got exit $status: $*"
+    cat out/ci_refusal.log
+    exit 1
+  fi
+}
+expect_refusal node_cores \
+  ./build/example_run_scenario scenario=ci-smoke node_cores=0
+expect_refusal node_cores \
+  ./build/example_run_campaign scenarios=ci-smoke sweep.node_cores=0,16 \
+  expand=1
+rm -f out/ci_nan.scenario
+expect_refusal window_s \
+  ./build/example_run_scenario scenario=ci-smoke window_s=nan \
+  noise_sigma=nan save=out/ci_nan.scenario
+test ! -e out/ci_nan.scenario
 
 echo
 echo "=== [1c] campaign smoke: 2 presets x 2 seeds, jobs=2 ==="

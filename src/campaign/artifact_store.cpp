@@ -1,6 +1,7 @@
 #include "campaign/artifact_store.hpp"
 
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "common/fs_util.hpp"
@@ -100,7 +101,8 @@ RunResult ArtifactStore::run_from_json(const Json& json) {
   result.scenario_name = json.at("scenario").as_string();
   for (const auto& [key, value] : json.at("assignments").members())
     result.assignments.emplace_back(key, value.as_string());
-  result.seed = std::stoull(json.at("seed").as_string());
+  result.seed = parse_count("seed", json.at("seed").as_string(),
+                            std::numeric_limits<std::uint64_t>::max());
   result.scenario_text = json.at("scenario_spec").as_string();
   result.report.scenario = result.scenario_name;
   for (const Json& model : json.at("models").elements()) {

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -53,17 +54,6 @@ bool advance(std::vector<std::size_t>& digits,
   return false;
 }
 
-std::uint64_t parse_seed(const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("campaign: seed is not an integer: " + text);
-  }
-}
-
 }  // namespace
 
 std::string sanitize_token(const std::string& text) {
@@ -94,9 +84,11 @@ void CampaignSpec::apply(const Config& config) {
     } else if (key == "seeds") {
       seeds.clear();
       for (const auto& token : split_list(value, "seeds="))
-        seeds.push_back(parse_seed(token));
+        seeds.push_back(parse_count(
+            "seeds", token, std::numeric_limits<std::uint64_t>::max()));
     } else if (key == "auto_seeds") {
-      auto_seeds = static_cast<int>(config.get_int("auto_seeds", auto_seeds));
+      auto_seeds = static_cast<int>(
+          parse_count(key, value, std::numeric_limits<int>::max()));
     } else if (key.rfind(kSweepPrefix, 0) == 0) {
       const std::string axis_key = key.substr(std::strlen(kSweepPrefix));
       if (!is_scenario_override(axis_key)) {

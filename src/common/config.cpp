@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "common/string_util.hpp"
@@ -78,27 +80,15 @@ std::string Config::get_string(const std::string& key,
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto value = get(key);
-  if (!value) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') {
-    throw std::invalid_argument("Config: key '" + key +
-                                "' is not a number: " + *value);
-  }
-  return parsed;
+  return value ? parse_double(key, *value) : fallback;
 }
 
 std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   const auto value = get(key);
   if (!value) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0') {
-    throw std::invalid_argument("Config: key '" + key +
-                                "' is not an integer: " + *value);
-  }
-  return parsed;
+  return static_cast<std::int64_t>(
+      parse_count(key, *value, std::numeric_limits<std::int64_t>::max()));
 }
 
 void Config::check_known(
@@ -119,6 +109,36 @@ void Config::check_known(
     throw std::invalid_argument("Config: unknown key(s): " + unknown +
                                 " (pass help=1 to list accepted keys)");
   }
+}
+
+std::uint64_t parse_count(const std::string& key, const std::string& text,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (end != last || error != std::errc() || value > max) {
+    throw std::invalid_argument(
+        format("%s must be an integer in [0, %llu], got '%s'", key.c_str(),
+               static_cast<unsigned long long>(max), text.c_str()));
+  }
+  return value;
+}
+
+std::optional<double> parse_finite(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
+double parse_double(const std::string& key, const std::string& text) {
+  const auto value = parse_finite(text);
+  if (!value) {
+    throw std::invalid_argument(key + " must be a finite number, got '" +
+                                text + "'");
+  }
+  return *value;
 }
 
 std::optional<std::size_t> family_index(std::string_view key,

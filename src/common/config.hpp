@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -36,6 +37,8 @@ class Config {
 
   /// Typed getters with defaults. Throw std::invalid_argument on parse
   /// failure — a malformed experiment parameter must not silently fall back.
+  /// get_double reads through parse_double (finite values only), get_int
+  /// through parse_count (bare digits that fit an int64).
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
@@ -58,6 +61,23 @@ class Config {
  private:
   std::map<std::string, std::string> values_;
 };
+
+// --- the number grammar every key value shares ------------------------------
+
+/// A count or seed: bare decimal digits (no sign, no exponent), at most
+/// `max`. A value that does not fit is an error, never a wrapped or
+/// clamped one. Throws std::invalid_argument naming `key`.
+[[nodiscard]] std::uint64_t parse_count(const std::string& key,
+                                        const std::string& text,
+                                        std::uint64_t max);
+
+/// The whole of `text` in strtod syntax, as a finite double; nullopt for
+/// junk, "nan", "inf" and text that overflows.
+[[nodiscard]] std::optional<double> parse_finite(const std::string& text);
+
+/// parse_finite, throwing std::invalid_argument naming `key` on failure.
+[[nodiscard]] double parse_double(const std::string& key,
+                                  const std::string& text);
 
 /// The index of an indexed-family key: `prefix` followed by a bare index
 /// (flow0, chain12). nullopt for anything else — "flow", "flowz" and

@@ -54,16 +54,6 @@ enum EventPhase : int {
   kAccountPhase = 4,
 };
 
-void copy_series(const telemetry::Recorder& from, telemetry::Recorder* to,
-                 const std::string& prefix) {
-  if (to == nullptr) return;
-  for (const std::string& name : from.series_names()) {
-    const TimeSeries& s = from.series(name);
-    for (std::size_t i = 0; i < s.size(); ++i)
-      to->record(prefix + name, s.times()[i], s.values()[i]);
-  }
-}
-
 }  // namespace
 
 FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec)
@@ -81,13 +71,9 @@ FleetOrchestrator::FleetOrchestrator(scenario::ScenarioSpec spec,
   horizon_ = spec_.fleet.horizon_windows > 0 ? spec_.fleet.horizon_windows
                                              : spec_.eval_windows;
   static_fleet_ = spec_.fleet.arrival_rate == 0.0;
+  // validate() keeps total_cores above controller_cores.
   capacity_cores_ = static_cast<double>(spec_.node.total_cores) -
                     spec_.node.controller_cores;
-  if (capacity_cores_ <= 0.0) {
-    throw std::invalid_argument(
-        "orchestrator: node has no schedulable cores (total_cores minus"
-        " controller_cores must be positive)");
-  }
   build_timeline();
 }
 
@@ -217,6 +203,22 @@ void FleetOrchestrator::build_timeline() {
     return policy->choose_arrival(index, request, net);
   };
 
+  // Every chain landing on `node` activates it; landing on a sleeping
+  // node wakes it and charges the chain the storm-scaled wake downtime
+  // and energy.
+  const auto charge_wake = [&](int node, int id, int w,
+                               FleetTimeline::Window& win) {
+    const auto charge = power[static_cast<std::size_t>(node)].activate();
+    if (!charge.woke) return;
+    const double scale = storm_scale(w);
+    index.wake(node);
+    ++timeline_.wakeups;
+    win.charges.push_back({id, charge.downtime_s * scale,
+                           charge.energy_j * scale, ChargeKind::kWake});
+    timeline_.wake_energy_j += charge.energy_j * scale;
+    timeline_.downtime_s += charge.downtime_s * scale;
+  };
+
   const auto place = [&](int id, int w, FleetTimeline::Window& win) {
     ChainInstance& chain = timeline_.chains[static_cast<std::size_t>(id)];
     const ArrivalRequest request{chain.cores, chain.offered_gbps};
@@ -242,16 +244,7 @@ void FleetOrchestrator::build_timeline() {
       chain.path_hops = net->chain_hops(id);
       chain.path_latency_ns = net->chain_latency_ns(id);
     }
-    const auto charge = power[static_cast<std::size_t>(node)].activate();
-    if (charge.woke) {
-      const double scale = storm_scale(w);
-      index.wake(node);
-      ++timeline_.wakeups;
-      win.charges.push_back({id, charge.downtime_s * scale,
-                             charge.energy_j * scale, ChargeKind::kWake});
-      timeline_.wake_energy_j += charge.energy_j * scale;
-      timeline_.downtime_s += charge.downtime_s * scale;
-    }
+    charge_wake(node, id, w, win);
     index.place_chain(id, node, chain.cores);
     win.arrivals.push_back(id);
     ++timeline_.arrivals;
@@ -287,16 +280,7 @@ void FleetOrchestrator::build_timeline() {
       timeline_.downtime_s += window_s;
       return;
     }
-    const auto charge = power[static_cast<std::size_t>(node)].activate();
-    if (charge.woke) {
-      const double scale = storm_scale(w);
-      index.wake(node);
-      ++timeline_.wakeups;
-      win.charges.push_back({id, charge.downtime_s * scale,
-                             charge.energy_j * scale, ChargeKind::kWake});
-      timeline_.wake_energy_j += charge.energy_j * scale;
-      timeline_.downtime_s += charge.downtime_s * scale;
-    }
+    charge_wake(node, id, w, win);
     index.place_chain(id, node, chain.cores);
     win.replacements.push_back({id, from, node});
     ++timeline_.replaced;
@@ -505,20 +489,9 @@ void FleetOrchestrator::build_timeline() {
           const ChainInstance& chain =
               timeline_.chains[static_cast<std::size_t>(move.chain)];
           index.remove_chain(move.chain);
-          const auto charge =
-              power[static_cast<std::size_t>(move.to)].activate();
-          if (charge.woke) {
-            // The policies never wake a node to consolidate into, but a
-            // custom policy could — account for it either way.
-            const double scale = storm_scale(w);
-            index.wake(move.to);
-            ++timeline_.wakeups;
-            win.charges.push_back({move.chain, charge.downtime_s * scale,
-                                   charge.energy_j * scale,
-                                   ChargeKind::kWake});
-            timeline_.wake_energy_j += charge.energy_j * scale;
-            timeline_.downtime_s += charge.downtime_s * scale;
-          }
+          // The policies never wake a node to consolidate into, but a
+          // custom policy could — account for it either way.
+          charge_wake(move.to, move.chain, w, win);
           index.place_chain(move.chain, move.to, chain.cores);
           win.migrations.push_back(move);
           ++timeline_.migrations;
@@ -939,7 +912,7 @@ scenario::ModelReport FleetOrchestrator::run_model(
   result.sla_satisfaction /= n;
   result.drop_fraction /= n;
 
-  copy_series(local, recorder, report.prefix);
+  scenario::copy_series(local, recorder, report.prefix);
   return report;
 }
 

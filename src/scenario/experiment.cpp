@@ -32,16 +32,6 @@ std::string sanitize(const std::string& name) {
   return out;
 }
 
-void copy_series(const telemetry::Recorder& from, telemetry::Recorder* to,
-                 const std::string& prefix) {
-  if (to == nullptr) return;
-  for (const std::string& name : from.series_names()) {
-    const TimeSeries& s = from.series(name);
-    for (std::size_t i = 0; i < s.size(); ++i)
-      to->record(prefix + name, s.times()[i], s.values()[i]);
-  }
-}
-
 /// Fig. 9's seed discipline, centralized: training seed offsets per
 /// GreenNFV variant, Q-learning at +3, evaluation environments at +77
 /// (per-node stride keeps cluster nodes on independent realizations).
@@ -74,6 +64,16 @@ SchedulerFactory greennfv_factory(const ScenarioSpec& spec,
 }
 
 }  // namespace
+
+void copy_series(const telemetry::Recorder& from, telemetry::Recorder* to,
+                 const std::string& prefix) {
+  if (to == nullptr) return;
+  for (const std::string& name : from.series_names()) {
+    const TimeSeries& s = from.series(name);
+    for (std::size_t i = 0; i < s.size(); ++i)
+      to->record(prefix + name, s.times()[i], s.values()[i]);
+  }
+}
 
 std::string series_prefix(const std::string& model_name) {
   return sanitize(model_name) + "_";

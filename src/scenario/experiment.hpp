@@ -76,6 +76,11 @@ struct SchedulerFactory {
 [[nodiscard]] std::vector<std::vector<std::string>> resolved_chain_nfs(
     const ScenarioSpec& spec);
 
+/// Appends every series of `from` to `to` under `prefix` (no-op when `to`
+/// is null): how a node's or model's local recorder joins the caller's.
+void copy_series(const telemetry::Recorder& from, telemetry::Recorder* to,
+                 const std::string& prefix);
+
 /// Builds the evaluation EnvConfig of one node hosting `local_chains`
 /// (indices into `comps`; flows are matched by FlowSpec::chain_index and
 /// remapped to node-local chain indices in flow-list order). Throws

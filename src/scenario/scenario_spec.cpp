@@ -1,12 +1,12 @@
 #include "scenario/scenario_spec.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/string_util.hpp"
 #include "hwmodel/nf_cost.hpp"
@@ -20,9 +20,7 @@ namespace {
 /// otherwise — so a computed value such as 0.1+0.2 survives a save/load.
 std::string fmt_double(double value) {
   const std::string brief = format("%.10g", value);
-  return std::strtod(brief.c_str(), nullptr) == value
-             ? brief
-             : format("%.17g", value);
+  return parse_finite(brief) == value ? brief : format("%.17g", value);
 }
 
 traffic::ArrivalKind arrival_from_string(const std::string& name) {
@@ -49,31 +47,23 @@ void require_contiguous(const Config& config, const std::string& prefix,
   }
 }
 
-double parse_double(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario: " + what + " is not a number: " +
-                                text);
+/// Doubles must be finite and ints inside their domain; seeds, flags,
+/// names and enums have no domain beyond their text form.
+template <class Field>
+void check_domain(const char* key, const Field& value,
+                  const KeyDomain& domain) {
+  if constexpr (std::is_same_v<Field, double> || std::is_same_v<Field, int>) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(format(
+          "scenario: %s must be a finite number, got %s", key,
+          fmt_double(value).c_str()));
+    }
+    if (!domain.contains(value)) {
+      throw std::invalid_argument(format("scenario: %s must be %s, got %s",
+                                         key, domain.text,
+                                         fmt_double(value).c_str()));
+    }
   }
-}
-
-/// Integer keys are counts and seeds: bare digits, no sign, at most `max`.
-/// A value that does not fit is an error, never a wrapped or clamped one.
-std::uint64_t parse_count(const std::string& key, const std::string& text,
-                          std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* last = text.data() + text.size();
-  const auto [end, error] = std::from_chars(text.data(), last, value);
-  if (end != last || error != std::errc() || value > max) {
-    throw std::invalid_argument(format(
-        "scenario: %s must be an integer in [0, %llu]: %s", key.c_str(),
-        static_cast<unsigned long long>(max), text.c_str()));
-  }
-  return value;
 }
 
 // The text form of each field type: read_key parses a key's value into
@@ -128,92 +118,32 @@ std::string key_text(traffic::RateProfile::Kind value) {
 }
 std::string key_text(core::SlaKind value) { return scenario::to_string(value); }
 
-/// The scenario vocabulary, each scalar key declared once with the field it
-/// sets, in to_text() order; the field's type fixes the key's text form
-/// (read_key / key_text). apply(), to_text() and known_keys() all walk this
-/// table: `key(name, field)` visits a scalar key, and `families()` runs
-/// where the hand-written chains/chainN and flows/flowN keys sit.
-template <class Spec, class Key, class Families>
-void for_each_key(Spec& s, Key&& key, Families&& families) {
-  key("name", s.name);
-  key("nodes", s.num_nodes);
-  key("placement", s.placement);
-  key("node_cores", s.node.total_cores);
-  key("node_fmin_ghz", s.node.fmin_ghz);
-  key("node_fmax_ghz", s.node.fmax_ghz);
-  key("node_line_rate_gbps", s.node.line_rate_gbps);
-  key("node_p_idle_w", s.node.p_idle_w);
-  key("node_p_max_w", s.node.p_max_w);
-  key("node_p_sleep_w", s.node.p_sleep_w);
-  key("node_wake_latency_s", s.node.wake_latency_s);
-  key("fleet.enabled", s.fleet.enabled);
-  key("fleet.horizon", s.fleet.horizon_windows);
-  key("fleet.arrival_rate", s.fleet.arrival_rate);
-  key("fleet.mean_holding", s.fleet.mean_holding_windows);
-  key("fleet.flows_per_chain", s.fleet.flows_per_chain);
-  key("fleet.chain_gbps", s.fleet.chain_offered_gbps);
-  key("fleet.policy", s.fleet.policy);
-  key("fleet.migration", s.fleet.migration);
-  key("fleet.migration_downtime_s", s.fleet.migration_downtime_s);
-  key("fleet.migration_energy_j", s.fleet.migration_energy_j);
-  key("fleet.consolidate_below", s.fleet.consolidate_below);
-  key("fleet.power_gating", s.fleet.power_gating);
-  key("fleet.sleep_after", s.fleet.sleep_after_windows);
-  key("topology.enabled", s.topology.enabled);
-  key("topology.preset", s.topology.preset);
-  key("topology.routing", s.topology.routing);
-  key("topology.hosts_per_leaf", s.topology.hosts_per_leaf);
-  key("topology.spines", s.topology.spines);
-  key("topology.fat_k", s.topology.fat_k);
-  key("topology.link_gbps", s.topology.link_gbps);
-  key("topology.link_latency_us", s.topology.link_latency_us);
-  key("topology.core_gbps", s.topology.core_gbps);
-  key("topology.core_latency_us", s.topology.core_latency_us);
-  key("topology.link_idle_w", s.topology.link_idle_w);
-  key("topology.link_nj_per_bit", s.topology.link_nj_per_bit);
-  key("sla.latency", s.latency_sla_us);
-  key("fault.enabled", s.fault.enabled);
-  key("fault.node_crash_rate", s.fault.node_crash_rate);
-  key("fault.link_fail_rate", s.fault.link_fail_rate);
-  key("fault.rack_outage_rate", s.fault.rack_outage_rate);
-  key("fault.rack_size", s.fault.rack_size);
-  key("fault.mean_repair", s.fault.mean_repair_windows);
-  key("fault.replace_downtime_s", s.fault.replace_downtime_s);
-  key("fault.replace_energy_j", s.fault.replace_energy_j);
-  key("fault.wake_storm_prob", s.fault.wake_storm_prob);
-  key("fault.wake_storm_factor", s.fault.wake_storm_factor);
-  families();
-  key("offered_gbps", s.total_offered_gbps);
-  key("profile", s.profile.kind);
-  key("profile_period_s", s.profile.period_s);
-  key("profile_amplitude", s.profile.amplitude);
-  key("profile_surge_start_s", s.profile.surge_start_s);
-  key("profile_surge_duration_s", s.profile.surge_duration_s);
-  key("profile_surge_factor", s.profile.surge_factor);
-  key("sla", s.sla_kind);
-  key("energy_budget", s.energy_budget_j);
-  key("throughput_floor", s.throughput_floor_gbps);
-  key("shaped_reward", s.shaped_reward);
-  key("window_s", s.window_s);
-  key("sub_windows", s.sub_windows);
-  key("steps_per_episode", s.steps_per_episode);
-  key("eval_windows", s.eval_windows);
-  key("episodes", s.episodes);
-  key("q_episodes", s.q_episodes);
-  key("candidates", s.candidates);
-  key("prioritized", s.prioritized_replay);
-  key("noise_sigma", s.noise_sigma);
-  key("noise_decay", s.noise_decay);
-  key("seed", s.seed);
+// The text form of each indexed-family entry (chainN= / flowN=).
+void read_item(const std::string& text, int, std::vector<std::string>& nfs) {
+  for (const auto& nf : split(text, '+'))
+    if (!nf.empty()) nfs.push_back(nf);
+}
+void read_item(const std::string& text, int id, traffic::FlowSpec& flow) {
+  flow = flow_from_text(text, id);
+}
+
+std::string item_text(const std::vector<std::string>& nfs) {
+  std::string text;
+  for (std::size_t i = 0; i < nfs.size(); ++i)
+    text += (i ? "+" : "") + nfs[i];
+  return text;
+}
+std::string item_text(const traffic::FlowSpec& flow) {
+  return flow_to_text(flow);
 }
 
 /// An indexed family (chain0=, chain1=, ...) and its count key (chains=).
 /// An explicit count without indexed entries reverts the family to its
 /// generated/standard form; entries, contiguous from 0, set the count.
-template <class T, class Parse>
+template <class T>
 void apply_family(const Config& config, const std::string& count_key,
                   const std::string& prefix, int& count,
-                  std::vector<T>& items, Parse parse) {
+                  std::vector<T>& items) {
   const bool indexed = config.has(prefix + "0");
   if (config.has(count_key)) {
     read_key(config, count_key, count);
@@ -227,7 +157,7 @@ void apply_family(const Config& config, const std::string& count_key,
   for (int i = 0;; ++i) {
     const auto entry = config.get(prefix + std::to_string(i));
     if (!entry) break;
-    items.push_back(parse(*entry, i));
+    read_item(*entry, i, items.emplace_back());
   }
   require_contiguous(config, prefix, items.size());
   if (config.has(count_key) &&
@@ -239,27 +169,13 @@ void apply_family(const Config& config, const std::string& count_key,
   count = static_cast<int>(items.size());
 }
 
-template <class T, class Print>
+template <class T>
 void write_family(std::ostream& out, const char* count_key,
-                  const char* prefix, int count, const std::vector<T>& items,
-                  Print print) {
+                  const char* prefix, int count,
+                  const std::vector<T>& items) {
   out << count_key << "=" << count << "\n";
   for (std::size_t i = 0; i < items.size(); ++i)
-    out << prefix << i << "=" << print(items[i]) << "\n";
-}
-
-std::vector<std::string> chain_from_text(const std::string& text, int) {
-  std::vector<std::string> nfs;
-  for (const auto& nf : split(text, '+'))
-    if (!nf.empty()) nfs.push_back(nf);
-  return nfs;
-}
-
-std::string chain_to_text(const std::vector<std::string>& nfs) {
-  std::string text;
-  for (std::size_t i = 0; i < nfs.size(); ++i)
-    text += (i ? "+" : "") + nfs[i];
-  return text;
+    out << prefix << i << "=" << item_text(items[i]) << "\n";
 }
 
 }  // namespace
@@ -320,15 +236,19 @@ traffic::FlowSpec flow_from_text(const std::string& text, int id) {
                                 "' (expected udp|tcp)");
   }
   flow.arrival = arrival_from_string(fields[1]);
+  const auto field = [id](const char* name) {
+    return format("flow%d %s", id, name);
+  };
   flow.pkt_bytes = static_cast<std::uint32_t>(
-      parse_double(fields[2], "flow pkt_bytes"));
-  flow.mean_rate_pps = parse_double(fields[3], "flow rate_pps");
-  flow.chain_index =
-      static_cast<int>(parse_double(fields[4], "flow chain index"));
+      parse_count(field("pkt_bytes"), fields[2],
+                  std::numeric_limits<std::uint32_t>::max()));
+  flow.mean_rate_pps = parse_double(field("rate_pps"), fields[3]);
+  flow.chain_index = static_cast<int>(parse_count(
+      field("chain"), fields[4], std::numeric_limits<int>::max()));
   if (fields.size() > 5)
-    flow.peak_to_mean = parse_double(fields[5], "flow peak_to_mean");
+    flow.peak_to_mean = parse_double(field("peak_to_mean"), fields[5]);
   if (fields.size() > 6)
-    flow.dwell_s = parse_double(fields[6], "flow dwell_s");
+    flow.dwell_s = parse_double(field("dwell_s"), fields[6]);
   return flow;
 }
 
@@ -387,14 +307,12 @@ core::TrainerConfig ScenarioSpec::trainer_config(const core::Sla& sla)
 void ScenarioSpec::apply(const Config& config) {
   for_each_key(
       *this,
-      [&config](const std::string& key, auto& field) {
+      [&config](const std::string& key, auto& field, const KeyDomain&) {
         read_key(config, key, field);
       },
-      [&] {
-        apply_family(config, "chains", "chain", num_chains, chain_nfs,
-                     chain_from_text);
-        apply_family(config, "flows", "flow", num_flows, flows,
-                     flow_from_text);
+      [&config](const std::string& count_key, const std::string& prefix,
+                int& count, auto& items, const KeyDomain&) {
+        apply_family(config, count_key, prefix, count, items);
       });
 }
 
@@ -402,13 +320,12 @@ std::string ScenarioSpec::to_text() const {
   std::ostringstream out;
   for_each_key(
       *this,
-      [&out](const char* key, const auto& field) {
+      [&out](const char* key, const auto& field, const KeyDomain&) {
         out << key << "=" << key_text(field) << "\n";
       },
-      [&] {
-        write_family(out, "chains", "chain", num_chains, chain_nfs,
-                     chain_to_text);
-        write_family(out, "flows", "flow", num_flows, flows, flow_to_text);
+      [&out](const char* count_key, const char* prefix, int count,
+             const auto& items, const KeyDomain&) {
+        write_family(out, count_key, prefix, count, items);
       });
   return out.str();
 }
@@ -439,21 +356,40 @@ ScenarioSpec ScenarioSpec::load(const std::string& path) {
 }
 
 void ScenarioSpec::validate() const {
-  if (num_nodes < 1)
-    throw std::invalid_argument("scenario: need at least one node");
-  if (num_chains < 1)
+  // Every numeric key against the domain its table line declares.
+  for_each_key(
+      *this,
+      [](const char* key, const auto& field, const KeyDomain& domain) {
+        check_domain(key, field, domain);
+      },
+      [](const char* count_key, const char*, int count, const auto&,
+         const KeyDomain& domain) { check_domain(count_key, count, domain); });
+
+  // --- node ----------------------------------------------------------------
+  // A DVFS ladder of at least two steps, peak power at or above idle, and
+  // a core left to schedule past the ONVM manager's.
+  if (!(node.fmax_ghz >= node.fmin_ghz + node.fstep_ghz))
+    throw std::invalid_argument(format(
+        "scenario: node_fmax_ghz must be at least one %g GHz step above"
+        " node_fmin_ghz",
+        node.fstep_ghz));
+  if (!(node.p_max_w >= node.p_idle_w))
     throw std::invalid_argument(
-        "scenario: need at least one chain (zero-chain topology)");
+        "scenario: node_p_max_w must be >= node_p_idle_w");
+  if (!(node.total_cores > node.controller_cores))
+    throw std::invalid_argument(format(
+        "scenario: node_cores must exceed the %g cores of the ONVM manager",
+        node.controller_cores));
+
+  // --- traffic and chains --------------------------------------------------
   if (flows.empty()) {
-    if (num_flows < 1)
-      throw std::invalid_argument("scenario: empty traffic mix (no flows)");
-    if (total_offered_gbps <= 0.0)
+    if (!(total_offered_gbps > 0.0))
       throw std::invalid_argument(
           "scenario: offered_gbps must be positive");
   } else {
     for (const auto& flow : flows) {
       traffic::validate(flow);
-      if (flow.mean_rate_pps <= 0.0)
+      if (!(flow.mean_rate_pps > 0.0))
         throw std::invalid_argument(
             "scenario: flow rates must be positive");
       if (flow.chain_index >= num_chains)
@@ -475,28 +411,11 @@ void ScenarioSpec::validate() const {
     }
   }
   profile.validate();
-  if (window_s <= 0.0)
-    throw std::invalid_argument("scenario: window_s must be positive");
-  if (sub_windows < 1)
-    throw std::invalid_argument("scenario: sub_windows must be >= 1");
-  if (steps_per_episode < 1)
-    throw std::invalid_argument(
-        "scenario: steps_per_episode must be >= 1");
-  if (eval_windows < 1)
-    throw std::invalid_argument("scenario: eval_windows must be >= 1");
-  if (episodes < 1 || q_episodes < 1)
-    throw std::invalid_argument("scenario: training episodes must be >= 1");
-  if (candidates < 1)
-    throw std::invalid_argument("scenario: candidates must be >= 1");
-  if (noise_sigma < 0.0)
-    throw std::invalid_argument("scenario: noise_sigma must be >= 0");
-  if (noise_decay <= 0.0 || noise_decay > 1.0)
-    throw std::invalid_argument("scenario: noise_decay must be in (0, 1]");
-  if (sla_kind == core::SlaKind::kMaxThroughput && energy_budget_j <= 0.0)
+  if (sla_kind == core::SlaKind::kMaxThroughput && !(energy_budget_j > 0.0))
     throw std::invalid_argument(
         "scenario: energy_budget must be positive for the maxt SLA");
   if (sla_kind == core::SlaKind::kMinEnergy &&
-      throughput_floor_gbps <= 0.0)
+      !(throughput_floor_gbps > 0.0))
     throw std::invalid_argument(
         "scenario: throughput_floor must be positive for the mine SLA");
   if (num_nodes > 1 && num_chains < num_nodes && !fleet.enabled)
@@ -504,17 +423,12 @@ void ScenarioSpec::validate() const {
         "scenario: cluster runs need at least one chain per node");
 
   // --- fleet block ---------------------------------------------------------
-  if (node.p_sleep_w < 0.0)
-    throw std::invalid_argument("scenario: node_p_sleep_w must be >= 0");
   // Sleep draw above idle draw only matters (and only makes gating
   // nonsensical) when the orchestrator actually gates nodes — a plain
   // scenario with a tiny node_p_idle_w must stay valid as before.
-  if (fleet.enabled && node.p_sleep_w > node.p_idle_w)
+  if (fleet.enabled && !(node.p_sleep_w <= node.p_idle_w))
     throw std::invalid_argument(
         "scenario: node_p_sleep_w must be <= node_p_idle_w for fleet runs");
-  if (node.wake_latency_s < 0.0)
-    throw std::invalid_argument(
-        "scenario: node_wake_latency_s must be >= 0");
   const auto& policies = FleetSpec::policy_names();
   if (std::find(policies.begin(), policies.end(), fleet.policy) ==
       policies.end()) {
@@ -526,37 +440,12 @@ void ScenarioSpec::validate() const {
     throw std::invalid_argument("scenario: unknown fleet.policy '" +
                                 fleet.policy + "' (expected " + known + ")");
   }
-  if (fleet.horizon_windows < 0)
-    throw std::invalid_argument("scenario: fleet.horizon must be >= 0");
-  if (fleet.arrival_rate < 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet.arrival_rate must be >= 0");
-  if (fleet.mean_holding_windows <= 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet.mean_holding must be positive");
-  if (fleet.flows_per_chain < 1)
-    throw std::invalid_argument(
-        "scenario: fleet.flows_per_chain must be >= 1");
-  if (fleet.chain_offered_gbps <= 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet.chain_gbps must be positive");
-  if (fleet.migration_downtime_s < 0.0 || fleet.migration_energy_j < 0.0)
-    throw std::invalid_argument(
-        "scenario: fleet migration costs must be >= 0");
-  if (fleet.consolidate_below < 0.0 || fleet.consolidate_below > 1.0)
-    throw std::invalid_argument(
-        "scenario: fleet.consolidate_below must be in [0, 1]");
-  if (fleet.sleep_after_windows < 1)
-    throw std::invalid_argument(
-        "scenario: fleet.sleep_after must be >= 1");
 
   // --- topology block ------------------------------------------------------
-  // Name/numeric checks always run (campaign expansion rejects a typo'd
+  // Name checks always run (campaign expansion rejects a typo'd
   // topology.preset on disabled cells too); host-capacity fit binds only
   // when the fabric is actually built.
   topology::validate_spec(topology, num_nodes);
-  if (latency_sla_us < 0.0)
-    throw std::invalid_argument("scenario: sla.latency must be >= 0");
   if (topology.enabled && !fleet.enabled)
     throw std::invalid_argument(
         "scenario: topology.enabled=1 requires fleet.enabled=1 (the fabric"
@@ -567,26 +456,7 @@ void ScenarioSpec::validate() const {
         " from the fabric)");
 
   // --- fault block ---------------------------------------------------------
-  // Numeric checks always run (campaign expansion rejects a bad fault.*
-  // value on disabled cells too); the cross-requirements bind only when
-  // injection is actually on.
-  if (fault.node_crash_rate < 0.0 || fault.link_fail_rate < 0.0 ||
-      fault.rack_outage_rate < 0.0)
-    throw std::invalid_argument("scenario: fault rates must be >= 0");
-  if (fault.rack_size < 1)
-    throw std::invalid_argument("scenario: fault.rack_size must be >= 1");
-  if (fault.mean_repair_windows <= 0.0)
-    throw std::invalid_argument(
-        "scenario: fault.mean_repair must be positive");
-  if (fault.replace_downtime_s < 0.0 || fault.replace_energy_j < 0.0)
-    throw std::invalid_argument(
-        "scenario: fault replacement costs must be >= 0");
-  if (fault.wake_storm_prob < 0.0 || fault.wake_storm_prob > 1.0)
-    throw std::invalid_argument(
-        "scenario: fault.wake_storm_prob must be in [0, 1]");
-  if (fault.wake_storm_factor < 1.0)
-    throw std::invalid_argument(
-        "scenario: fault.wake_storm_factor must be >= 1");
+  // The cross-requirements bind only when injection is actually on.
   if (fault.enabled && !fleet.enabled)
     throw std::invalid_argument(
         "scenario: fault.enabled=1 requires fleet.enabled=1 (faults are"
@@ -603,8 +473,11 @@ const std::vector<std::string>& ScenarioSpec::known_keys() {
     ScenarioSpec spec;
     for_each_key(
         spec,
-        [&names](const char* key, const auto&) { names.emplace_back(key); },
-        [&names] { names.insert(names.end(), {"chains", "flows"}); });
+        [&names](const char* key, const auto&, const KeyDomain&) {
+          names.emplace_back(key);
+        },
+        [&names](const char* count_key, const char*, int, const auto&,
+                 const KeyDomain&) { names.emplace_back(count_key); });
     return names;
   }();
   return keys;

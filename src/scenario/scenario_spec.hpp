@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,62 @@ struct FaultSpec {
   double wake_storm_factor = 4.0;  ///< fault.wake_storm_factor
 };
 
+/// The values a numeric scenario key accepts, written in the key table
+/// the way an error states it: "> 0", ">= 1", "[0, 1]" or "(0, 1]"
+/// (non-negative decimal bounds). Parsed at compile time, so a malformed
+/// domain does not build. The default domain bounds nothing; a double
+/// must be finite in every domain.
+struct KeyDomain {
+  const char* text = "finite";
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  constexpr KeyDomain() = default;
+  consteval KeyDomain(const char* spec) : text(spec) {  // NOLINT: implicit
+    const char* p = spec;
+    if (*p == '>') {
+      lo_open = *++p != '=';
+      lo = bound(lo_open ? p : ++p);
+    } else if (*p == '[' || *p == '(') {
+      lo_open = *p == '(';
+      lo = bound(++p);
+      if (*p != ',') throw "KeyDomain: expected ','";
+      hi = bound(++p);
+      hi_open = *p == ')';
+      if (*p != ')' && *p != ']') throw "KeyDomain: expected ']' or ')'";
+    } else {
+      throw "KeyDomain: expected '>', '[' or '('";
+    }
+  }
+
+  /// NaN fails both comparisons, so it lies in no domain.
+  [[nodiscard]] constexpr bool contains(double x) const {
+    return (lo_open ? x > lo : x >= lo) && (hi_open ? x < hi : x <= hi);
+  }
+
+ private:
+  /// A non-negative decimal ("0", "1", "0.001") after optional spaces.
+  static consteval double bound(const char*& p) {
+    while (*p == ' ') ++p;
+    double digits = 0.0;
+    double scale = 1.0;
+    bool fraction = false;
+    const char* first = p;
+    for (; (*p >= '0' && *p <= '9') || (*p == '.' && !fraction); ++p) {
+      if (*p == '.') {
+        fraction = true;
+        continue;
+      }
+      digits = digits * 10.0 + (*p - '0');
+      if (fraction) scale *= 10.0;
+    }
+    if (p == first) throw "KeyDomain: expected a number";
+    return digits / scale;
+  }
+};
+
 struct ScenarioSpec {
   std::string name = "custom";
   /// Human-readable one-liner (preset listings only; not serialized).
@@ -183,7 +240,8 @@ struct ScenarioSpec {
   /// Overwrites fields named by `config` keys (see known_keys()). Unknown
   /// keys are NOT rejected here — callers combine scenario keys with their
   /// own and call Config::check_known with the union. Integer keys take
-  /// bare non-negative digits that fit their field (seed: full uint64).
+  /// bare non-negative digits that fit their field (seed: full uint64);
+  /// double keys take finite numbers only (no nan, no inf).
   void apply(const Config& config);
 
   /// Serializes to one "key=value" line per key;
@@ -198,8 +256,11 @@ struct ScenarioSpec {
   void save(const std::string& path) const;
   [[nodiscard]] static ScenarioSpec load(const std::string& path);
 
-  /// Throws std::invalid_argument naming the offending field (zero chains,
-  /// empty traffic mix, negative rates, unknown NF names...).
+  /// Throws std::invalid_argument naming the offending field: a numeric
+  /// key outside the domain its key-table line declares (every double
+  /// finite), or a broken cross-key rule (unknown NF names, a flow on a
+  /// missing chain, an SLA without its budget...). Allocates nothing on
+  /// success.
   void validate() const;
 
   /// Every scalar key apply() understands, plus the indexed-family
@@ -207,6 +268,95 @@ struct ScenarioSpec {
   [[nodiscard]] static const std::vector<std::string>& known_keys();
   [[nodiscard]] static const std::vector<std::string>& known_prefixes();
 };
+
+/// The scenario vocabulary, each scalar key declared once with the field it
+/// sets and, for a numeric key, its domain, in to_text() order; the field's
+/// type fixes the key's text form. apply(), to_text(), validate() and
+/// known_keys() all walk this table, and so can a caller that needs the
+/// valid space (a spec fuzzer, a property test): `visit(name, field,
+/// domain)` sees a scalar key, `family(count_key, prefix, count, items,
+/// domain)` an indexed family with its count key. Rules that tie keys
+/// together or hold only in some modes are written out in validate().
+template <class Spec, class Visit, class Family>
+void for_each_key(Spec& s, Visit&& visit, Family&& family) {
+  const auto key = [&visit](const char* name, auto& field,
+                            KeyDomain domain = {}) {
+    visit(name, field, domain);
+  };
+  key("name", s.name);
+  key("nodes", s.num_nodes, ">= 1");
+  key("placement", s.placement);
+  key("node_cores", s.node.total_cores, ">= 1");
+  // The DVFS ladder is quantized to 1 MHz: a lower fmin rounds to 0 GHz.
+  key("node_fmin_ghz", s.node.fmin_ghz, ">= 0.001");
+  key("node_fmax_ghz", s.node.fmax_ghz, "> 0");
+  key("node_line_rate_gbps", s.node.line_rate_gbps, "> 0");
+  key("node_p_idle_w", s.node.p_idle_w, ">= 0");
+  key("node_p_max_w", s.node.p_max_w, "> 0");
+  key("node_p_sleep_w", s.node.p_sleep_w, ">= 0");
+  key("node_wake_latency_s", s.node.wake_latency_s, ">= 0");
+  key("fleet.enabled", s.fleet.enabled);
+  key("fleet.horizon", s.fleet.horizon_windows, ">= 0");
+  key("fleet.arrival_rate", s.fleet.arrival_rate, ">= 0");
+  key("fleet.mean_holding", s.fleet.mean_holding_windows, "> 0");
+  key("fleet.flows_per_chain", s.fleet.flows_per_chain, ">= 1");
+  key("fleet.chain_gbps", s.fleet.chain_offered_gbps, "> 0");
+  key("fleet.policy", s.fleet.policy);
+  key("fleet.migration", s.fleet.migration);
+  key("fleet.migration_downtime_s", s.fleet.migration_downtime_s, ">= 0");
+  key("fleet.migration_energy_j", s.fleet.migration_energy_j, ">= 0");
+  key("fleet.consolidate_below", s.fleet.consolidate_below, "[0, 1]");
+  key("fleet.power_gating", s.fleet.power_gating);
+  key("fleet.sleep_after", s.fleet.sleep_after_windows, ">= 1");
+  key("topology.enabled", s.topology.enabled);
+  key("topology.preset", s.topology.preset);
+  key("topology.routing", s.topology.routing);
+  key("topology.hosts_per_leaf", s.topology.hosts_per_leaf, ">= 1");
+  key("topology.spines", s.topology.spines, ">= 1");
+  key("topology.fat_k", s.topology.fat_k, ">= 2");
+  key("topology.link_gbps", s.topology.link_gbps, "> 0");
+  key("topology.link_latency_us", s.topology.link_latency_us, ">= 0");
+  key("topology.core_gbps", s.topology.core_gbps, "> 0");
+  key("topology.core_latency_us", s.topology.core_latency_us, ">= 0");
+  key("topology.link_idle_w", s.topology.link_idle_w, ">= 0");
+  key("topology.link_nj_per_bit", s.topology.link_nj_per_bit, ">= 0");
+  key("sla.latency", s.latency_sla_us, ">= 0");
+  key("fault.enabled", s.fault.enabled);
+  key("fault.node_crash_rate", s.fault.node_crash_rate, ">= 0");
+  key("fault.link_fail_rate", s.fault.link_fail_rate, ">= 0");
+  key("fault.rack_outage_rate", s.fault.rack_outage_rate, ">= 0");
+  key("fault.rack_size", s.fault.rack_size, ">= 1");
+  key("fault.mean_repair", s.fault.mean_repair_windows, "> 0");
+  key("fault.replace_downtime_s", s.fault.replace_downtime_s, ">= 0");
+  key("fault.replace_energy_j", s.fault.replace_energy_j, ">= 0");
+  key("fault.wake_storm_prob", s.fault.wake_storm_prob, "[0, 1]");
+  key("fault.wake_storm_factor", s.fault.wake_storm_factor, ">= 1");
+  family("chains", "chain", s.num_chains, s.chain_nfs, ">= 1");
+  family("flows", "flow", s.num_flows, s.flows, ">= 1");
+  key("offered_gbps", s.total_offered_gbps);
+  key("profile", s.profile.kind);
+  key("profile_period_s", s.profile.period_s);
+  key("profile_amplitude", s.profile.amplitude);
+  key("profile_surge_start_s", s.profile.surge_start_s);
+  key("profile_surge_duration_s", s.profile.surge_duration_s);
+  key("profile_surge_factor", s.profile.surge_factor);
+  key("sla", s.sla_kind);
+  key("energy_budget", s.energy_budget_j);
+  key("throughput_floor", s.throughput_floor_gbps);
+  key("shaped_reward", s.shaped_reward);
+  key("window_s", s.window_s, "> 0");
+  key("sub_windows", s.sub_windows, ">= 1");
+  key("steps_per_episode", s.steps_per_episode, ">= 1");
+  key("eval_windows", s.eval_windows, ">= 1");
+  key("episodes", s.episodes, ">= 1");
+  key("q_episodes", s.q_episodes, ">= 1");
+  key("candidates", s.candidates, ">= 1");
+  key("prioritized", s.prioritized_replay);
+  key("noise_sigma", s.noise_sigma, ">= 0");
+  key("noise_decay", s.noise_decay, "(0, 1]");
+  key("seed", s.seed);
+}
+
 
 /// Serialization helpers for the indexed families (shared with tests).
 [[nodiscard]] std::string flow_to_text(const traffic::FlowSpec& flow);

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/fs_util.hpp"
@@ -62,25 +61,7 @@ SeriesTable::SeriesTable(std::vector<std::string> columns)
 }
 
 void SeriesTable::reserve_rows(std::size_t rows) {
-  if (rows > capacity_) grow(rows);
-}
-
-void SeriesTable::grow(std::size_t min_rows) {
-  std::size_t next = capacity_ == 0 ? 64 : capacity_ * 2;
-  if (next < min_rows) next = min_rows;
-  if (!arena_) arena_ = std::make_unique<Arena>();
-  const std::size_t width = num_columns();
-  auto* fresh = static_cast<double*>(
-      arena_->allocate(next * width * sizeof(double), alignof(double)));
-  if (rows_ > 0) {
-    std::memcpy(fresh, data_, rows_ * width * sizeof(double));
-  }
-  if (data_ != nullptr) {
-    arena_->deallocate(data_, capacity_ * width * sizeof(double),
-                       alignof(double));
-  }
-  data_ = fresh;
-  capacity_ = next;
+  data_.reserve(rows * num_columns());
 }
 
 void SeriesTable::append_row(const double* values, std::size_t n) {
@@ -89,8 +70,7 @@ void SeriesTable::append_row(const double* values, std::size_t n) {
                                 " != schema width " +
                                 std::to_string(num_columns()));
   }
-  if (rows_ == capacity_) grow(rows_ + 1);
-  std::memcpy(data_ + rows_ * num_columns(), values, n * sizeof(double));
+  data_.insert(data_.end(), values, values + n);
   ++rows_;
 }
 
@@ -130,7 +110,7 @@ std::string SeriesTable::to_csv() const {
   }
   out += '\n';
   for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row = data_ + r * num_columns();
+    const double* row = data_.data() + r * num_columns();
     for (std::size_t c = 0; c < num_columns(); ++c) {
       if (c > 0) out += ',';
       out += format_double(row[c]);

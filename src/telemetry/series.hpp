@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/json.hpp"
 
 /// \file series.hpp
@@ -13,7 +11,7 @@
 /// flight recorder. Where trace.hpp answers "how long" and metrics.hpp
 /// "how many", a SeriesTable answers "how did the run evolve": one row
 /// per accounting window over a fixed column schema, stored row-major in
-/// arena-backed flat storage so steady-state sampling allocates nothing.
+/// one flat buffer so steady-state sampling allocates nothing.
 ///
 /// Like the tracer and the counter registry, sampling is behind a global
 /// switch (off by default) and may never perturb simulation output:
@@ -39,16 +37,11 @@ void set_enabled(bool on);
 
 /// A fixed-schema table of doubles. Columns are named at construction
 /// and never change; rows append one at a time. reserve_rows() sizes the
-/// arena-backed storage up front, after which append_row is
-/// allocation-free until the reservation is exceeded.
+/// storage up front, after which append_row is allocation-free until the
+/// reservation is exceeded.
 class SeriesTable {
  public:
   explicit SeriesTable(std::vector<std::string> columns);
-
-  SeriesTable(const SeriesTable&) = delete;
-  SeriesTable& operator=(const SeriesTable&) = delete;
-  SeriesTable(SeriesTable&&) noexcept = default;
-  SeriesTable& operator=(SeriesTable&&) noexcept = default;
 
   /// Pre-allocates storage for `rows` rows.
   void reserve_rows(std::size_t rows);
@@ -83,13 +76,9 @@ class SeriesTable {
   [[nodiscard]] static SeriesTable from_csv(const std::string& text);
 
  private:
-  void grow(std::size_t min_rows);
-
   std::vector<std::string> columns_;
-  std::unique_ptr<Arena> arena_;
-  double* data_ = nullptr;  ///< row-major, capacity_ * num_columns()
+  std::vector<double> data_;  ///< row-major, rows_ * num_columns()
   std::size_t rows_ = 0;
-  std::size_t capacity_ = 0;
 };
 
 }  // namespace greennfv::telemetry

@@ -58,9 +58,10 @@ struct TopologySpec {
 };
 
 /// Throws std::invalid_argument naming the offending field. Name and
-/// numeric checks always run (so sweeps fail fast even on disabled
+/// fat_k parity checks always run (so sweeps fail fast even on disabled
 /// cells); the preset-capacity fit check (can this fabric attach
-/// `num_hosts` hosts?) only binds when `spec.enabled`.
+/// `num_hosts` hosts?) only binds when `spec.enabled`. The numeric ranges
+/// of the topology.* keys live in the scenario key table.
 void validate_spec(const TopologySpec& spec, int num_hosts);
 
 /// One undirected link. Capacity is integral kbps and latency integral

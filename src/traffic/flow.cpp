@@ -36,14 +36,14 @@ std::unique_ptr<ArrivalProcess> make_arrival(const FlowSpec& spec) {
 }
 
 void validate(const FlowSpec& spec) {
-  if (spec.mean_rate_pps < 0.0)
+  if (!(spec.mean_rate_pps >= 0.0))
     throw std::invalid_argument("flow: negative rate");
   if (spec.pkt_bytes < 64 || spec.pkt_bytes > 1518)
     throw std::invalid_argument(
         "flow: packet size outside Ethernet's 64-1518 byte range");
-  if (spec.peak_to_mean < 1.0)
+  if (!(spec.peak_to_mean >= 1.0))
     throw std::invalid_argument("flow: peak_to_mean must be >= 1");
-  if (spec.dwell_s <= 0.0)
+  if (!(spec.dwell_s > 0.0))
     throw std::invalid_argument("flow: dwell must be positive");
   if (spec.chain_index < 0)
     throw std::invalid_argument("flow: negative chain index");

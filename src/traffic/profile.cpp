@@ -27,19 +27,19 @@ double RateProfile::multiplier(double t_s) const {
 
 void RateProfile::validate() const {
   if (kind == Kind::kDiurnal || kind == Kind::kBursty) {
-    if (period_s <= 0.0)
+    if (!(period_s > 0.0))
       throw std::invalid_argument("RateProfile: period_s must be positive");
-    if (amplitude < 0.0 || amplitude >= 1.0)
+    if (!(amplitude >= 0.0 && amplitude < 1.0))
       throw std::invalid_argument("RateProfile: amplitude must be in [0, 1)");
   }
   if (kind == Kind::kFlashCrowd) {
-    if (surge_start_s < 0.0)
+    if (!(surge_start_s >= 0.0))
       throw std::invalid_argument(
           "RateProfile: surge_start_s must be non-negative");
-    if (surge_duration_s <= 0.0)
+    if (!(surge_duration_s > 0.0))
       throw std::invalid_argument(
           "RateProfile: surge_duration_s must be positive");
-    if (surge_factor <= 0.0)
+    if (!(surge_factor > 0.0))
       throw std::invalid_argument(
           "RateProfile: surge_factor must be positive");
   }

@@ -186,6 +186,47 @@ TEST(CampaignSpec, ExpandValidatesEveryCellUpFront) {
   EXPECT_THROW((void)spec.expand(), std::invalid_argument);
 }
 
+TEST(CampaignSpec, ExpandRejectsANodeAxisThatWouldAbortACell) {
+  // node_cores=0 once passed validate() and aborted the whole sweep in
+  // hwmodel; now the cell fails at expansion, naming the key.
+  CampaignSpec spec;
+  spec.scenarios = {"ci-smoke"};
+  spec.apply(make_config({{"sweep.node_cores", "0,16"}}));
+  try {
+    (void)spec.expand();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node_cores"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignSpec, SeedKeysTakeBareDigitsThatFit) {
+  // auto_seeds=4294967298 once narrowed to 2 runs; seeds=-5 once read as
+  // 2^64-5.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"auto_seeds", "4294967298"},
+           {"auto_seeds", "-1"},
+           {"auto_seeds", "2.5"},
+           {"seeds", "1,-5"},
+           {"seeds", "18446744073709551616"},
+           {"seeds", "7x"}}) {
+    CampaignSpec spec;
+    try {
+      spec.apply(make_config({{key, value}}));
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  CampaignSpec spec;
+  spec.apply(make_config({{"seeds", "18446744073709551615,0"}}));
+  EXPECT_EQ(spec.seeds,
+            (std::vector<std::uint64_t>{18446744073709551615ull, 0}));
+}
+
 TEST(CampaignSpec, ExpandRejectsUnknownTopologyPresets) {
   // A topology axis with a mistyped preset dies at expansion, before any
   // cell executes — cell.validate() name-checks even disabled specs.

@@ -102,6 +102,39 @@ TEST(Config, FamilyIndexReadsOnlyABareIndex) {
     EXPECT_FALSE(family_index(key, "flow").has_value()) << key;
 }
 
+TEST(Config, DoublesMustBeFinite) {
+  const Config c = Config::from_string(
+      "a=nan b=inf c=-inf d=1e999 e=2.5e-3 f= g=1e-320");
+  for (const char* key : {"a", "b", "c", "d", "f"}) {
+    try {
+      (void)c.get_double(key, 0.0);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos);
+    }
+  }
+  EXPECT_EQ(c.get_double("e", 0.0), 2.5e-3);
+  EXPECT_EQ(c.get_double("g", 0.0), 1e-320);  // subnormal, still finite
+  EXPECT_EQ(parse_finite("0.1"), 0.1);
+  EXPECT_FALSE(parse_finite("0.1x").has_value());
+}
+
+TEST(Config, ParseCountTakesBareDigitsUpToItsMaximum) {
+  EXPECT_EQ(parse_count("n", "0", 10), 0u);
+  EXPECT_EQ(parse_count("n", "10", 10), 10u);
+  EXPECT_EQ(parse_count("seed", "18446744073709551615", UINT64_MAX),
+            UINT64_MAX);
+  for (const char* bad :
+       {"11", "-1", "+1", "1e3", "1.0", " 1", "", "18446744073709551616"}) {
+    try {
+      (void)parse_count("n_key", bad, 10);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("n_key"), std::string::npos);
+    }
+  }
+}
+
 TEST(Config, WhitespaceTrimmed) {
   // Spaces separate tokens, so values must hug their '='; surrounding
   // whitespace and tabs around whole tokens are stripped.

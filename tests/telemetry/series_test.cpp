@@ -7,7 +7,7 @@
 #include "telemetry/series.hpp"
 
 /// Unit coverage for the columnar time-series sampler: fixed schema,
-/// arena-backed growth, %.17g round-trips through both export formats,
+/// growth past the reservation, %.17g round-trips through both export formats,
 /// and the global runtime gate.
 
 namespace greennfv::telemetry {
@@ -48,8 +48,8 @@ TEST(SeriesTable, RejectsMalformedSchemasAndRows) {
 }
 
 TEST(SeriesTable, GrowsPastInitialCapacityWithoutLosingRows) {
-  // The arena block starts at 64 rows; 1000 appends cross several
-  // doublings. Every value must survive the copies.
+  // No reservation: 1000 appends cross several reallocations. Every
+  // value must survive the copies.
   SeriesTable table({"x", "y"});
   for (int i = 0; i < 1000; ++i) {
     table.append_row({static_cast<double>(i), static_cast<double>(i) * 0.5});
