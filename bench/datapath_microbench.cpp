@@ -90,11 +90,12 @@ BENCHMARK(BM_ChainInline)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_NodeModelEvaluate(benchmark::State& state) {
   const hwmodel::NodeModel node;
+  const std::vector<hwmodel::NfCostProfile> nfs = {
+      hwmodel::nf_catalog::firewall(), hwmodel::nf_catalog::router(),
+      hwmodel::nf_catalog::ids()};
   std::vector<hwmodel::ChainDeployment> chains(3);
   for (int c = 0; c < 3; ++c) {
-    chains[static_cast<std::size_t>(c)].nfs = {
-        hwmodel::nf_catalog::firewall(), hwmodel::nf_catalog::router(),
-        hwmodel::nf_catalog::ids()};
+    chains[static_cast<std::size_t>(c)].set_nfs(nfs);
     chains[static_cast<std::size_t>(c)].workload.offered_pps = 1e6;
     chains[static_cast<std::size_t>(c)].workload.pkt_bytes = 512;
     chains[static_cast<std::size_t>(c)].llc_fraction = 0.33;

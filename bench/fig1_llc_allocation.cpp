@@ -23,18 +23,22 @@ using namespace greennfv::hwmodel;
 namespace {
 
 ChainDeployment make_c1(double llc_fraction) {
-  ChainDeployment dep;
   // NAT -> router -> content cache: ~9.5 MiB of resident state, light
   // per-packet cycles — throughput depends on keeping that state cached,
   // which is exactly what Fig. 1 measures. The cache NF is a bench-local
   // profile (table-heavy, cheap per packet).
-  NfCostProfile cdn_cache;
-  cdn_cache.name = "cdn_cache";
-  cdn_cache.base_cycles = 300.0;
-  cdn_cache.cycles_per_byte = 0.0;
-  cdn_cache.mem_refs_per_pkt = 12.0;
-  cdn_cache.state_bytes = 8ull * units::kMiB;
-  dep.nfs = {nf_catalog::nat(), nf_catalog::router(), cdn_cache};
+  static const std::vector<NfCostProfile> nfs = [] {
+    NfCostProfile cdn_cache;
+    cdn_cache.name = "cdn_cache";
+    cdn_cache.base_cycles = 300.0;
+    cdn_cache.cycles_per_byte = 0.0;
+    cdn_cache.mem_refs_per_pkt = 12.0;
+    cdn_cache.state_bytes = 8ull * units::kMiB;
+    return std::vector<NfCostProfile>{nf_catalog::nat(), nf_catalog::router(),
+                                      cdn_cache};
+  }();
+  ChainDeployment dep;
+  dep.set_nfs(nfs);
   dep.workload.offered_pps = 13e6;  // paper: "input flows ... are 13 Mpps"
   dep.workload.pkt_bytes = 64;
   dep.cores = 12.0;
@@ -47,9 +51,10 @@ ChainDeployment make_c1(double llc_fraction) {
 }
 
 ChainDeployment make_c2(double llc_fraction) {
+  static const std::vector<NfCostProfile> nfs = {
+      nf_catalog::firewall(), nf_catalog::nat(), nf_catalog::flow_monitor()};
   ChainDeployment dep;
-  dep.nfs = {nf_catalog::firewall(), nf_catalog::nat(),
-             nf_catalog::flow_monitor()};
+  dep.set_nfs(nfs);
   dep.workload.offered_pps = 1e6;  // "and 1 Mpps, respectively"
   dep.workload.pkt_bytes = 128;
   dep.cores = 2.0;

@@ -37,11 +37,12 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<std::string>> rows;
   telemetry::Recorder recorder;
+  const std::vector<NfCostProfile> nfs = {
+      nf_catalog::firewall(), nf_catalog::router(), nf_catalog::ids()};
   for (int p = 0; p < dvfs.num_pstates(); ++p) {
     const double freq = dvfs.frequency_ghz(p);
     ChainDeployment dep;
-    dep.nfs = {nf_catalog::firewall(), nf_catalog::router(),
-               nf_catalog::ids()};
+    dep.set_nfs(nfs);
     dep.workload.offered_pps = flow.mean_rate_pps;
     dep.workload.pkt_bytes = 1518;
     dep.cores = cores;

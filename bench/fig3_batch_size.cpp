@@ -35,11 +35,14 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<std::string>> rows;
   telemetry::Recorder recorder;
+  const std::vector<NfCostProfile> light_nfs = {
+      nf_catalog::firewall(), nf_catalog::nat(), nf_catalog::flow_monitor()};
+  const std::vector<NfCostProfile> heavy_nfs = {
+      nf_catalog::ids(), nf_catalog::epc(), nf_catalog::router()};
   for (std::uint32_t batch = 10; batch <= 300; batch += 10) {
     // Chain under test: light NFs, tight 10% LLC slice.
     ChainDeployment dep;
-    dep.nfs = {nf_catalog::firewall(), nf_catalog::nat(),
-               nf_catalog::flow_monitor()};
+    dep.set_nfs(light_nfs);
     dep.workload.offered_pps = flow.mean_rate_pps;
     dep.workload.pkt_bytes = 1518;
     dep.cores = cores;
@@ -51,8 +54,7 @@ int main(int argc, char** argv) {
     // A cache-hungry neighbour owns the rest of the LLC, as on a real
     // consolidated node.
     ChainDeployment neighbour;
-    neighbour.nfs = {nf_catalog::ids(), nf_catalog::epc(),
-                     nf_catalog::router()};
+    neighbour.set_nfs(heavy_nfs);
     neighbour.workload.offered_pps = 0.5e6;
     neighbour.workload.pkt_bytes = 512;
     neighbour.cores = 2.0;

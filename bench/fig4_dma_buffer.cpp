@@ -30,9 +30,10 @@ struct Point {
 
 Point measure(const NodeModel& node, std::uint32_t pkt_bytes,
               double dma_mib, double cores) {
+  static const std::vector<NfCostProfile> nfs = {
+      nf_catalog::firewall(), nf_catalog::router(), nf_catalog::ids()};
   ChainDeployment dep;
-  dep.nfs = {nf_catalog::firewall(), nf_catalog::router(),
-             nf_catalog::ids()};
+  dep.set_nfs(nfs);
   const traffic::FlowSpec flow = traffic::line_rate_flow(pkt_bytes);
   dep.workload.offered_pps = flow.mean_rate_pps;
   dep.workload.pkt_bytes = pkt_bytes;

@@ -53,11 +53,17 @@ int run(const Config& config) {
             ? nfvsim::standard_chain_nfs(c)
             : scenario_spec.chain_nfs[static_cast<std::size_t>(c)]);
   }
-  std::vector<ChainDeployment> chains;
+  // Deployments borrow their profiles: fill every chain's list first.
+  std::vector<std::vector<NfCostProfile>> profiles;
   for (const auto& nfs : compositions) {
-    ChainDeployment dep;
+    profiles.emplace_back();
     for (const auto& nf : nfs)
-      dep.nfs.push_back(nf_catalog::by_name(nf));
+      profiles.back().push_back(nf_catalog::by_name(nf));
+  }
+  std::vector<ChainDeployment> chains;
+  for (const auto& nfs : profiles) {
+    ChainDeployment dep;
+    dep.set_nfs(nfs);
     dep.workload.offered_pps = 1.0e6;
     dep.workload.pkt_bytes = 512;
     dep.cores = 2.0;

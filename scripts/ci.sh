@@ -59,6 +59,9 @@ expect_refusal node_cores \
 expect_refusal node_cores \
   ./build/example_run_campaign scenarios=ci-smoke sweep.node_cores=0,16 \
   expand=1
+expect_refusal node_fmax_ghz \
+  ./build/example_run_scenario scenario=ci-smoke models=baseline \
+  node_fmax_ghz=1e9
 rm -f out/ci_nan.scenario
 expect_refusal window_s \
   ./build/example_run_scenario scenario=ci-smoke window_s=nan \

@@ -61,7 +61,14 @@ std::size_t NfvEnvironment::action_dim() const {
   return action_codec_.action_dim();
 }
 
-NfvEnvironment::WindowOutcome NfvEnvironment::run_window(
+namespace {
+
+/// run_window's engine summary, per thread rather than per environment.
+thread_local nfvsim::AnalyticEngine::RunSummary t_summary;
+
+}  // namespace
+
+const NfvEnvironment::WindowOutcome& NfvEnvironment::run_window(
     const std::vector<nfvsim::ChainKnobs>& knobs) {
   GNFV_REQUIRE(knobs.size() == controller_->num_chains(),
                "run_window: knob count mismatch");
@@ -71,9 +78,10 @@ NfvEnvironment::WindowOutcome NfvEnvironment::run_window(
   }
 
   const double dt = config_.window_s / config_.sub_windows;
-  const auto summary = engine_->run(config_.sub_windows, dt);
+  nfvsim::AnalyticEngine::RunSummary& summary = t_summary;
+  engine_->run(config_.sub_windows, dt, summary);
 
-  WindowOutcome outcome;
+  WindowOutcome& outcome = last_outcome_;
   outcome.throughput_gbps = summary.mean_gbps;
   outcome.energy_j = summary.energy_j;
   outcome.drop_fraction = summary.drop_fraction;
@@ -87,8 +95,7 @@ NfvEnvironment::WindowOutcome NfvEnvironment::run_window(
           : config_.sla.reward(outcome.throughput_gbps, outcome.energy_j);
   outcome.efficiency =
       Sla::efficiency(outcome.throughput_gbps, outcome.energy_j);
-  outcome.observations = StateCodec::observe(summary);
-  last_outcome_ = outcome;
+  StateCodec::observe(summary, outcome.observations);
   return outcome;
 }
 

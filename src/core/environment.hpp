@@ -65,7 +65,9 @@ class NfvEnvironment final : public rl::Environment {
     bool sla_satisfied = false;
     std::vector<ChainObservation> observations;
   };
-  WindowOutcome run_window(const std::vector<nfvsim::ChainKnobs>& knobs);
+  /// Returns last_outcome(), overwritten in place by the next window.
+  const WindowOutcome& run_window(
+      const std::vector<nfvsim::ChainKnobs>& knobs);
 
   // --- introspection for telemetry/benches -----------------------------------
   [[nodiscard]] const EnvConfig& config() const { return config_; }

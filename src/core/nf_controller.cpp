@@ -28,7 +28,7 @@ EvalResult NfController::run(int windows, telemetry::Recorder* recorder,
   double t = 0.0;
   for (int w = 0; w < windows; ++w) {
     const auto knobs = scheduler_.decide(obs, env_.last_knobs());
-    const auto outcome = env_.run_window(knobs);
+    const auto& outcome = env_.run_window(knobs);
     obs = outcome.observations;
 
     result.mean_gbps += outcome.throughput_gbps;

@@ -1,6 +1,7 @@
 #include "hwmodel/cat.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <stdexcept>
 
@@ -23,7 +24,12 @@ void CatAllocator::set_clos(ClosId clos, int first_way, int way_count) {
   clos_[clos] = Mask{first_way, way_count};
 }
 
-std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
+void CatAllocator::apportion(std::span<const double> fractions,
+                             int total_ways, std::span<int> ways) {
+  GNFV_REQUIRE(total_ways > 0 && total_ways <= kMaxWays,
+               "CAT: way count outside the bitmask width");
+  GNFV_REQUIRE(ways.size() == fractions.size(),
+               "CAT: one way count per fraction");
   if (fractions.empty())
     throw std::invalid_argument("CAT: partition needs at least one fraction");
   for (const double f : fractions)
@@ -34,16 +40,17 @@ std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
     throw std::invalid_argument("CAT: fractions sum to zero");
 
   const auto n = static_cast<int>(fractions.size());
-  if (n > allocatable_ways_)
+  if (n > total_ways)
     throw std::invalid_argument("CAT: more classes than ways");
 
   // Largest-remainder apportionment with a 1-way floor per class.
-  std::vector<int> ways(static_cast<std::size_t>(n), 1);
-  int remaining = allocatable_ways_ - n;
-  std::vector<double> remainders(static_cast<std::size_t>(n));
+  std::fill(ways.begin(), ways.end(), 1);
+  int remaining = total_ways - n;
+  std::array<double, kMaxWays> remainder_buf;
+  const std::span<double> remainders(remainder_buf.data(), ways.size());
   for (int i = 0; i < n; ++i) {
     const double ideal =
-        fractions[static_cast<std::size_t>(i)] / total * allocatable_ways_;
+        fractions[static_cast<std::size_t>(i)] / total * total_ways;
     const int extra = std::max(
         0, std::min(remaining, static_cast<int>(ideal) - 1));
     ways[static_cast<std::size_t>(i)] += extra;
@@ -58,12 +65,16 @@ std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
     remainders[idx] -= 1.0;
     --remaining;
   }
+}
 
+std::vector<int> CatAllocator::partition(const std::vector<double>& fractions) {
+  std::vector<int> ways(fractions.size());
+  apportion(fractions, allocatable_ways_, ways);
   clos_.clear();
   int cursor = 0;
-  for (int i = 0; i < n; ++i) {
-    set_clos(i, cursor, ways[static_cast<std::size_t>(i)]);
-    cursor += ways[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < ways.size(); ++i) {
+    set_clos(static_cast<ClosId>(i), cursor, ways[i]);
+    cursor += ways[i];
   }
   return ways;
 }

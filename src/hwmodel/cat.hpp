@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "hwmodel/node_spec.hpp"
@@ -19,7 +20,17 @@ using ClosId = int;
 
 class CatAllocator {
  public:
+  /// Capacity bitmasks are 64-bit registers: no LLC has more ways.
+  static constexpr int kMaxWays = 64;
+
   explicit CatAllocator(const NodeSpec& spec);
+
+  /// Largest-remainder apportionment of `total_ways` (at most kMaxWays)
+  /// among classes weighted by `fractions`, each getting at least one way,
+  /// into `ways` (as long as `fractions`). Throws std::invalid_argument for
+  /// no fractions, a negative one, a zero sum, or more classes than ways.
+  static void apportion(std::span<const double> fractions, int total_ways,
+                        std::span<int> ways);
 
   /// Defines (or redefines) a CLOS with a contiguous way mask.
   /// `first_way`/`way_count` index into the allocatable (non-DDIO) ways.

@@ -9,11 +9,11 @@
 
 namespace greennfv::hwmodel {
 
-CacheDemand CostModel::demand_of(const std::vector<NfCostProfile>& nfs,
+CacheDemand CostModel::demand_of(std::uint64_t state_bytes,
                                  const ChainWorkload& load,
                                  const ChainResources& res) const {
   CacheDemand demand;
-  demand.state_bytes = total_state_bytes(nfs);
+  demand.state_bytes = state_bytes;
   // In-flight batch footprint. Packets live in fixed-size mbufs (DPDK uses
   // 2 KB buffers regardless of frame length), so the cache pressure of a
   // batch scales with max(frame, mbuf) — which is why oversized batches
@@ -30,8 +30,8 @@ CacheDemand CostModel::demand_of(const std::vector<NfCostProfile>& nfs,
 }
 
 ChainEvaluation CostModel::evaluate_chain(
-    const std::vector<NfCostProfile>& nfs, const ChainWorkload& load,
-    const ChainResources& res) const {
+    std::span<const NfCostProfile> nfs, std::uint64_t state_bytes,
+    const ChainWorkload& load, const ChainResources& res) const {
   GNFV_REQUIRE(!nfs.empty(), "evaluate_chain: empty chain");
   GNFV_REQUIRE(res.cores > 0.0, "evaluate_chain: zero cores");
   GNFV_REQUIRE(res.freq_ghz > 0.0, "evaluate_chain: zero frequency");
@@ -41,7 +41,7 @@ ChainEvaluation CostModel::evaluate_chain(
   ChainEvaluation out;
 
   // --- cache behaviour ------------------------------------------------------
-  const CacheDemand demand = demand_of(nfs, load, res);
+  const CacheDemand demand = demand_of(state_bytes, load, res);
   const CacheBehaviour cache = cache_.evaluate(demand, res.llc_bytes);
   out.miss_ratio = cache.miss_ratio;
   out.ddio_hit = cache.ddio_hit;

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "hwmodel/cache.hpp"
 #include "hwmodel/dma.hpp"
@@ -76,14 +76,22 @@ class CostModel {
   explicit CostModel(const NodeSpec& spec)
       : spec_(spec), cache_(spec), dma_(spec) {}
 
-  /// Steady-state evaluation of one chain.
+  /// Steady-state evaluation of one chain. `state_bytes` is
+  /// total_state_bytes(nfs), a per-chain constant the caller sums once.
   [[nodiscard]] ChainEvaluation evaluate_chain(
-      const std::vector<NfCostProfile>& nfs, const ChainWorkload& load,
-      const ChainResources& res) const;
+      std::span<const NfCostProfile> nfs, std::uint64_t state_bytes,
+      const ChainWorkload& load, const ChainResources& res) const;
 
-  /// The cache demand a chain presents (exposed for NodeModel's
-  /// contention bookkeeping).
-  [[nodiscard]] CacheDemand demand_of(const std::vector<NfCostProfile>& nfs,
+  /// The same for a bare profile list, summing its state here.
+  [[nodiscard]] ChainEvaluation evaluate_chain(
+      std::span<const NfCostProfile> nfs, const ChainWorkload& load,
+      const ChainResources& res) const {
+    return evaluate_chain(nfs, total_state_bytes(nfs), load, res);
+  }
+
+  /// The cache demand of a chain holding `state_bytes` of resident state
+  /// (exposed for NodeModel's contention bookkeeping).
+  [[nodiscard]] CacheDemand demand_of(std::uint64_t state_bytes,
                                       const ChainWorkload& load,
                                       const ChainResources& res) const;
 

@@ -56,7 +56,7 @@ std::vector<std::string> names() {
 
 }  // namespace nf_catalog
 
-std::uint64_t total_state_bytes(const std::vector<NfCostProfile>& nfs) {
+std::uint64_t total_state_bytes(std::span<const NfCostProfile> nfs) {
   std::uint64_t total = 0;
   for (const auto& nf : nfs) total += nf.state_bytes;
   return total;

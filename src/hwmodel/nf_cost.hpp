@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,6 @@ namespace nf_catalog {
 
 /// Sum of resident state across a chain.
 [[nodiscard]] std::uint64_t total_state_bytes(
-    const std::vector<NfCostProfile>& nfs);
+    std::span<const NfCostProfile> nfs);
 
 }  // namespace greennfv::hwmodel

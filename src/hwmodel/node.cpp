@@ -1,8 +1,9 @@
 #include "hwmodel/node.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <numeric>
+#include <stdexcept>
 
 #include "common/assert.hpp"
 #include "common/math_util.hpp"
@@ -13,40 +14,52 @@ namespace greennfv::hwmodel {
 NodeModel::NodeModel(const NodeSpec& spec)
     : spec_(spec), cost_(spec), power_(spec) {}
 
-NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
-                                   bool use_cat) const {
+void NodeModel::evaluate(std::span<const ChainDeployment> chains,
+                         bool use_cat, NodeEvaluation& out) const {
   GNFV_REQUIRE(!chains.empty(), "NodeModel::evaluate: no chains");
-  NodeEvaluation out;
+  // Zero every total but keep the per-chain report storage.
+  std::vector<ChainReport> reports = std::move(out.chains);
+  out = NodeEvaluation{};
+  out.chains = std::move(reports);
   out.chains.resize(chains.size());
 
-  // --- resolve LLC allocations ------------------------------------------------
-  std::vector<std::uint64_t> llc_bytes(chains.size());
+  // --- resolve LLC allocations into each report's llc_bytes ---------------
   if (use_cat) {
-    CatAllocator cat(spec_);
-    std::vector<double> fractions;
-    fractions.reserve(chains.size());
-    for (const auto& c : chains)
-      fractions.push_back(std::max(c.llc_fraction, 1e-3));
-    cat.partition(fractions);
+    // Stack scratch: apportion refuses more classes than ways, and no LLC
+    // has more than kMaxWays ways.
+    std::array<double, CatAllocator::kMaxWays> fraction_buf;
+    std::array<int, CatAllocator::kMaxWays> way_buf;
+    if (chains.size() > fraction_buf.size())
+      throw std::invalid_argument("CAT: more classes than ways");
+    const std::span<double> fractions(fraction_buf.data(), chains.size());
+    const std::span<int> ways(way_buf.data(), chains.size());
     for (std::size_t i = 0; i < chains.size(); ++i)
-      llc_bytes[i] = cat.bytes(static_cast<ClosId>(i));
+      fractions[i] = std::max(chains[i].llc_fraction, 1e-3);
+    CatAllocator::apportion(fractions, spec_.llc_ways - spec_.ddio_ways,
+                            ways);
+    for (std::size_t i = 0; i < chains.size(); ++i)
+      out.chains[i].llc_bytes =
+          static_cast<std::uint64_t>(ways[i]) * spec_.bytes_per_way();
   } else {
     // Unpartitioned LLC: chains get demand-proportional contended shares.
-    std::vector<double> demands(chains.size());
+    // Each report's llc_bytes holds the chain's demand until its share is
+    // known.
     double total_demand = 0.0;
     for (std::size_t i = 0; i < chains.size(); ++i) {
       ChainResources res;
       res.batch = chains[i].batch;
       res.dma_bytes = chains[i].dma_bytes;
       const CacheDemand d =
-          cost_.demand_of(chains[i].nfs, chains[i].workload, res);
-      demands[i] = static_cast<double>(d.state_bytes + d.packet_window_bytes);
-      total_demand += demands[i];
+          cost_.demand_of(chains[i].state_bytes, chains[i].workload, res);
+      out.chains[i].llc_bytes = d.state_bytes + d.packet_window_bytes;
+      total_demand += static_cast<double>(out.chains[i].llc_bytes);
     }
-    for (std::size_t i = 0; i < chains.size(); ++i) {
+    for (auto& report : out.chains) {
       const double share =
-          total_demand > 0.0 ? demands[i] / total_demand : 1.0;
-      llc_bytes[i] = cost_.cache().contended_share(share);
+          total_demand > 0.0
+              ? static_cast<double>(report.llc_bytes) / total_demand
+              : 1.0;
+      report.llc_bytes = cost_.cache().contended_share(share);
     }
   }
 
@@ -59,15 +72,15 @@ NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
     ChainResources res;
     res.cores = chain.cores;
     res.freq_ghz = chain.freq_ghz;
-    res.llc_bytes = llc_bytes[i];
+    ChainReport& report = out.chains[i];
+    res.llc_bytes = report.llc_bytes;
     res.dma_bytes = chain.dma_bytes;
     res.batch = chain.batch;
     res.poll_mode = chain.poll_mode;
     res.shared_llc = !use_cat;
 
-    ChainReport& report = out.chains[i];
-    report.llc_bytes = llc_bytes[i];
-    report.eval = cost_.evaluate_chain(chain.nfs, chain.workload, res);
+    report.eval = cost_.evaluate_chain(chain.nfs, chain.state_bytes,
+                                       chain.workload, res);
 
     out.allocated_cores += chain.cores;
     busy_total += report.eval.busy_cores;
@@ -163,7 +176,12 @@ NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
     out.chains[i].energy_per_mpkt_j =
         mpps > 1e-9 ? out.chains[i].power_w / mpps : 0.0;
   }
+}
 
+NodeEvaluation NodeModel::evaluate(const std::vector<ChainDeployment>& chains,
+                                   bool use_cat) const {
+  NodeEvaluation out;
+  evaluate(chains, use_cat, out);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "hwmodel/cat.hpp"
@@ -12,12 +13,19 @@
 /// resource knobs — and produces steady-state throughput, utilization, and
 /// power, with per-chain attribution for the figures that report per-chain
 /// energy (Fig. 1c, Fig. 4b).
+///
+/// A ChainDeployment borrows its cost profiles: `nfs` spans storage the
+/// caller owns (OnvmController's compositions, or a named vector), which must
+/// outlive each evaluation and not change under it.
 
 namespace greennfv::hwmodel {
 
 /// One chain's deployment on the node, in knob form (LLC as a CAT fraction).
 struct ChainDeployment {
-  std::vector<NfCostProfile> nfs;
+  /// The chain's NF cost profiles, borrowed (see the file comment).
+  std::span<const NfCostProfile> nfs;
+  /// total_state_bytes(nfs): a per-chain constant, summed once.
+  std::uint64_t state_bytes = 0;
   ChainWorkload workload;
   /// The five GreenNFV control knobs plus the scheduling mode.
   double cores = 1.0;
@@ -26,6 +34,12 @@ struct ChainDeployment {
   std::uint64_t dma_bytes = 2ull << 20;
   std::uint32_t batch = 32;
   bool poll_mode = false;
+
+  /// Points the deployment at `profiles` and sums their resident state.
+  void set_nfs(std::span<const NfCostProfile> profiles) {
+    nfs = profiles;
+    state_bytes = total_state_bytes(profiles);
+  }
 };
 
 /// Per-chain results plus attributed power.
@@ -57,12 +71,17 @@ class NodeModel {
  public:
   explicit NodeModel(const NodeSpec& spec = NodeSpec{});
 
-  /// Evaluates the node at steady state.
+  /// Evaluates the node at steady state into `out`, overwriting every
+  /// field and reusing the storage of `out.chains`.
   ///
   /// `use_cat` = true partitions the allocatable LLC by each chain's
   /// llc_fraction (GreenNFV's mode); false leaves the cache unpartitioned
   /// so chains receive contended, demand-proportional shares (the
   /// baseline's mode).
+  void evaluate(std::span<const ChainDeployment> chains, bool use_cat,
+                NodeEvaluation& out) const;
+
+  /// The same, returning a fresh result.
   [[nodiscard]] NodeEvaluation evaluate(
       const std::vector<ChainDeployment>& chains, bool use_cat = true) const;
 

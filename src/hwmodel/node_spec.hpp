@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/units.hpp"
 
 /// \file node_spec.hpp
@@ -103,13 +104,20 @@ struct NodeSpec {
   /// on idle queues.
   double min_poll_duty = 0.25;
 
+  /// Most steps a DVFS ladder may span; real parts expose a few dozen.
+  static constexpr int kMaxLadderSteps = 10000;
+
   /// Returns the DVFS ladder {fmin, fmin+step, ..., fmax}. Entries are
   /// rounded to 1 MHz so repeated float addition cannot push the top step
   /// past fmax.
   [[nodiscard]] std::vector<double> frequency_ladder_ghz() const {
     std::vector<double> ladder;
-    const int steps =
-        static_cast<int>((fmax_ghz - fmin_ghz) / fstep_ghz + 0.5);
+    // Checked before the cast: a NaN or out-of-range double cast to int is
+    // undefined, and a huge fmax would build a ladder of millions of steps.
+    const double span = (fmax_ghz - fmin_ghz) / fstep_ghz + 0.5;
+    GNFV_REQUIRE(span >= 0.0 && span < kMaxLadderSteps + 1.0,
+                 "DVFS ladder: step count out of range");
+    const int steps = static_cast<int>(span);
     for (int i = 0; i <= steps; ++i) {
       const double f = fmin_ghz + i * fstep_ghz;
       ladder.push_back(static_cast<double>(static_cast<long long>(

@@ -20,6 +20,7 @@ int OnvmController::add_chain(const std::string& name,
   chain.profiles.reserve(nf_names.size());
   for (const auto& nf_name : nf_names)
     chain.profiles.push_back(hwmodel::nf_catalog::by_name(nf_name));
+  chain.state_bytes = hwmodel::total_state_bytes(chain.profiles);
   chains_.push_back(std::move(chain));
   knobs_.push_back(baseline_knobs(spec_));
   return static_cast<int>(chains_.size()) - 1;
@@ -34,15 +35,16 @@ ChainKnobs OnvmController::apply_knobs(std::size_t chain_index,
   return applied;
 }
 
-std::vector<hwmodel::ChainDeployment> OnvmController::deployments(
-    const std::vector<hwmodel::ChainWorkload>& workloads) const {
+void OnvmController::deployments(
+    std::span<const hwmodel::ChainWorkload> workloads,
+    std::vector<hwmodel::ChainDeployment>& out) const {
   GNFV_REQUIRE(workloads.size() == chains_.size(),
                "deployments: workload count != chain count");
-  std::vector<hwmodel::ChainDeployment> out;
-  out.reserve(chains_.size());
+  out.resize(chains_.size());
   for (std::size_t i = 0; i < chains_.size(); ++i) {
-    hwmodel::ChainDeployment dep;
+    hwmodel::ChainDeployment& dep = out[i];
     dep.nfs = chains_[i].profiles;
+    dep.state_bytes = chains_[i].state_bytes;
     dep.workload = workloads[i];
     dep.cores = knobs_[i].cores;
     dep.freq_ghz = knobs_[i].freq_ghz;
@@ -50,9 +52,7 @@ std::vector<hwmodel::ChainDeployment> OnvmController::deployments(
     dep.dma_bytes = knobs_[i].dma_bytes;
     dep.batch = knobs_[i].batch;
     dep.poll_mode = sched_mode_ == SchedMode::kPoll;
-    out.push_back(std::move(dep));
   }
-  return out;
 }
 
 }  // namespace greennfv::nfvsim

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,11 @@
 /// only inside a ThreadedEngine, which builds its own ServiceChains from
 /// `compositions()`. Rebuilding an analytic environment therefore costs
 /// three catalog lookups per chain.
+///
+/// Deployments borrow: a ChainDeployment's `nfs` spans its composition's
+/// `profiles`, which nothing changes after `add_chain` and which stay valid
+/// (later `add_chain` calls move compositions, not profile buffers) until
+/// the controller is destroyed.
 
 namespace greennfv::nfvsim {
 
@@ -37,6 +44,8 @@ struct ChainComposition {
   std::string name;
   std::vector<std::string> nf_names;
   std::vector<hwmodel::NfCostProfile> profiles;
+  /// hwmodel::total_state_bytes(profiles), summed once at add_chain.
+  std::uint64_t state_bytes = 0;
 };
 
 class OnvmController {
@@ -72,10 +81,12 @@ class OnvmController {
   [[nodiscard]] const hwmodel::NodeSpec& spec() const { return spec_; }
   [[nodiscard]] const hwmodel::DvfsController& dvfs() const { return dvfs_; }
 
-  /// Builds hwmodel deployments for the current knob state and the given
-  /// per-chain workloads (one entry per chain).
-  [[nodiscard]] std::vector<hwmodel::ChainDeployment> deployments(
-      const std::vector<hwmodel::ChainWorkload>& workloads) const;
+  /// Fills `out` with one hwmodel deployment per chain for the current
+  /// knob state and the given per-chain workloads (one entry per chain),
+  /// reusing its storage. The deployments borrow this controller's
+  /// profiles (see the file comment).
+  void deployments(std::span<const hwmodel::ChainWorkload> workloads,
+                   std::vector<hwmodel::ChainDeployment>& out) const;
 
  private:
   hwmodel::NodeSpec spec_;

@@ -23,42 +23,54 @@ AnalyticEngine::AnalyticEngine(OnvmController& controller,
   }
 }
 
-std::vector<hwmodel::ChainWorkload> AnalyticEngine::chain_workloads(
-    const traffic::WindowLoad& load) const {
-  const std::size_t n_chains = controller_.num_chains();
-  std::vector<double> pps(n_chains, 0.0);
-  std::vector<double> byte_weight(n_chains, 0.0);
-  const auto& flows = generator_.flows();
+namespace {
+
+/// The step's scratch, one per thread (see the header).
+struct StepWorkspace {
+  traffic::WindowLoad load;
+  std::vector<hwmodel::ChainWorkload> workloads;
+  std::vector<double> byte_weight;
+  std::vector<hwmodel::ChainDeployment> deployments;
+  WindowMetrics metrics;  ///< run()'s per-step result
+};
+
+thread_local StepWorkspace t_workspace;
+
+/// Folds the per-flow loads into per-chain workloads (offered pps plus
+/// pps-weighted mean frame size).
+void chain_workloads(const std::vector<traffic::FlowSpec>& flows,
+                     std::size_t n_chains, StepWorkspace& ws) {
+  ws.workloads.assign(n_chains, hwmodel::ChainWorkload{});
+  ws.byte_weight.assign(n_chains, 0.0);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto chain = static_cast<std::size_t>(flows[i].chain_index);
-    pps[chain] += load.per_flow_pps[i];
-    byte_weight[chain] += load.per_flow_pps[i] * flows[i].pkt_bytes;
+    ws.workloads[chain].offered_pps += ws.load.per_flow_pps[i];
+    ws.byte_weight[chain] += ws.load.per_flow_pps[i] * flows[i].pkt_bytes;
   }
-  std::vector<hwmodel::ChainWorkload> workloads(n_chains);
   for (std::size_t c = 0; c < n_chains; ++c) {
-    workloads[c].offered_pps = pps[c];
-    workloads[c].pkt_bytes =
-        pps[c] > 0.0
-            ? static_cast<std::uint32_t>(
-                  std::clamp(byte_weight[c] / pps[c], 64.0, 1518.0))
-            : 1024;
+    const double pps = ws.workloads[c].offered_pps;
+    ws.workloads[c].pkt_bytes =
+        pps > 0.0 ? static_cast<std::uint32_t>(
+                        std::clamp(ws.byte_weight[c] / pps, 64.0, 1518.0))
+                  : 1024;
   }
-  return workloads;
 }
 
-WindowMetrics AnalyticEngine::step(double dt) {
+}  // namespace
+
+void AnalyticEngine::step(double dt, WindowMetrics& out) {
   GNFV_REQUIRE(dt > 0.0, "AnalyticEngine::step: dt must be positive");
 
-  const traffic::WindowLoad load = generator_.next_window(dt);
-  const auto workloads = chain_workloads(load);
-  WindowMetrics metrics;
-  metrics.t_start_s = time_s_;
-  metrics.dt_s = dt;
-  metrics.offered_pps = load.total_pps;
-  metrics.node = node_model_.evaluate(controller_.deployments(workloads),
-                                      controller_.use_cat());
-  metrics.energy_j = metrics.node.power_w * dt;
-  meter_.accumulate(metrics.node.power_w, dt);
+  StepWorkspace& ws = t_workspace;
+  generator_.next_window(dt, ws.load);
+  chain_workloads(generator_.flows(), controller_.num_chains(), ws);
+  controller_.deployments(ws.workloads, ws.deployments);
+  out.t_start_s = time_s_;
+  out.dt_s = dt;
+  out.offered_pps = ws.load.total_pps;
+  node_model_.evaluate(ws.deployments, controller_.use_cat(), out.node);
+  out.energy_j = out.node.power_w * dt;
+  meter_.accumulate(out.node.power_w, dt);
   time_s_ += dt;
 
   // Close the TCP loop: attribute each chain's goodput/drops to its flows
@@ -66,29 +78,36 @@ WindowMetrics AnalyticEngine::step(double dt) {
   const auto& flows = generator_.flows();
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto chain = static_cast<std::size_t>(flows[i].chain_index);
-    const double chain_offered = workloads[chain].offered_pps;
+    const double chain_offered = ws.workloads[chain].offered_pps;
     if (chain_offered <= 0.0) continue;
-    const double share = load.per_flow_pps[i] / chain_offered;
-    const auto& eval = metrics.node.chains[chain].eval;
+    const double share = ws.load.per_flow_pps[i] / chain_offered;
+    const auto& eval = out.node.chains[chain].eval;
     generator_.report_feedback(i, eval.goodput_pps * share,
                                eval.drop_pps * share);
   }
-  return metrics;
 }
 
-AnalyticEngine::RunSummary AnalyticEngine::run(int windows, double dt) {
+WindowMetrics AnalyticEngine::step(double dt) {
+  WindowMetrics out;
+  step(dt, out);
+  return out;
+}
+
+void AnalyticEngine::run(int windows, double dt, RunSummary& summary) {
   GNFV_REQUIRE(windows > 0, "AnalyticEngine::run: windows must be positive");
-  RunSummary summary;
   const std::size_t n_chains = controller_.num_chains();
+  summary.duration_s = summary.mean_gbps = summary.mean_power_w =
+      summary.energy_j = summary.mean_utilization = 0.0;
   summary.chain_gbps.assign(n_chains, 0.0);
   summary.chain_arrival_pps.assign(n_chains, 0.0);
   summary.chain_energy_j.assign(n_chains, 0.0);
   summary.chain_busy_cores.assign(n_chains, 0.0);
 
+  WindowMetrics& m = t_workspace.metrics;
   double goodput_pps_sum = 0.0;
   double offered_pps_sum = 0.0;
   for (int w = 0; w < windows; ++w) {
-    const WindowMetrics m = step(dt);
+    step(dt, m);
     summary.duration_s += dt;
     summary.mean_gbps += m.total_gbps();
     summary.mean_power_w += m.power_w();
@@ -119,6 +138,11 @@ AnalyticEngine::RunSummary AnalyticEngine::run(int windows, double dt) {
     summary.chain_arrival_pps[c] /= n;
     summary.chain_busy_cores[c] /= n;
   }
+}
+
+AnalyticEngine::RunSummary AnalyticEngine::run(int windows, double dt) {
+  RunSummary summary;
+  run(windows, dt, summary);
   return summary;
 }
 

@@ -15,6 +15,11 @@
 /// episodes): it reads only the controller's knobs and per-chain cost
 /// profiles (`OnvmController::deployments`) and never touches a packet
 /// datapath — NF objects and rings exist only inside a ThreadedEngine.
+///
+/// The step's scratch (per-flow load, per-chain workloads and deployments)
+/// lives in one workspace per thread in engine_analytic.cpp, not per engine:
+/// a fleet keeps thousands of engines alive. Once it is warm, `step` and
+/// `run` into a reused result allocate nothing.
 
 namespace greennfv::nfvsim {
 
@@ -38,11 +43,14 @@ class AnalyticEngine {
   AnalyticEngine(OnvmController& controller,
                  traffic::TrafficGenerator generator);
 
-  /// Advances virtual time by `dt` seconds and returns the window metrics.
+  /// Advances virtual time by `dt` seconds and writes the window metrics
+  /// into `out`, reusing its storage.
+  void step(double dt, WindowMetrics& out);
+  /// The same, returning fresh metrics.
   WindowMetrics step(double dt);
 
-  /// Runs `windows` steps of `dt` and returns aggregate means/totals —
-  /// the "episode" primitive the RL environment builds on.
+  /// Aggregate means/totals of `windows` steps — the "episode" primitive
+  /// the RL environment builds on.
   struct RunSummary {
     double duration_s = 0.0;
     double mean_gbps = 0.0;
@@ -61,6 +69,10 @@ class AnalyticEngine {
     /// Per-chain mean busy cores (the state-space ξ signal; 1.0 = 100%).
     std::vector<double> chain_busy_cores;
   };
+  /// Runs `windows` steps of `dt` and writes their summary into `out`,
+  /// reusing its storage.
+  void run(int windows, double dt, RunSummary& out);
+  /// The same, returning a fresh summary.
   RunSummary run(int windows, double dt);
 
   [[nodiscard]] double time_s() const { return time_s_; }
@@ -77,11 +89,6 @@ class AnalyticEngine {
   hwmodel::NodeModel node_model_;
   hwmodel::EnergyMeter meter_;
   double time_s_ = 0.0;
-
-  /// Folds the per-flow loads into per-chain workloads (offered pps plus
-  /// pps-weighted mean frame size).
-  [[nodiscard]] std::vector<hwmodel::ChainWorkload> chain_workloads(
-      const traffic::WindowLoad& load) const;
 };
 
 }  // namespace greennfv::nfvsim

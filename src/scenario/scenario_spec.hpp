@@ -289,7 +289,9 @@ void for_each_key(Spec& s, Visit&& visit, Family&& family) {
   key("node_cores", s.node.total_cores, ">= 1");
   // The DVFS ladder is quantized to 1 MHz: a lower fmin rounds to 0 GHz.
   key("node_fmin_ghz", s.node.fmin_ghz, ">= 0.001");
-  key("node_fmax_ghz", s.node.fmax_ghz, "> 0");
+  // Bounded so the ladder's step count stays small: 100 GHz spans under
+  // 1000 steps of the default 0.1 GHz.
+  key("node_fmax_ghz", s.node.fmax_ghz, "(0, 100]");
   key("node_line_rate_gbps", s.node.line_rate_gbps, "> 0");
   key("node_p_idle_w", s.node.p_idle_w, ">= 0");
   key("node_p_max_w", s.node.p_max_w, "> 0");

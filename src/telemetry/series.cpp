@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "common/config.hpp"
 #include "common/fs_util.hpp"
 #include "common/string_util.hpp"
 
@@ -31,19 +31,6 @@ std::string format_double(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
-}
-
-double parse_double(const std::string& text) {
-  if (text.empty()) {
-    throw std::invalid_argument("SeriesTable: empty CSV cell");
-  }
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) {
-    throw std::invalid_argument("SeriesTable: unparseable CSV cell '" + text +
-                                "'");
-  }
-  return value;
 }
 
 }  // namespace
@@ -199,7 +186,14 @@ SeriesTable SeriesTable::from_csv(const std::string& text) {
           std::to_string(table.num_columns()));
     }
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      row[c] = parse_double(cells[c]);
+      const auto value = parse_finite(cells[c]);
+      if (!value) {
+        throw std::invalid_argument(
+            "SeriesTable: CSV line " + std::to_string(i + 1) + " column '" +
+            table.columns()[c] + "' is not a finite number: '" + cells[c] +
+            "'");
+      }
+      row[c] = *value;
     }
     table.append_row(row);
   }

@@ -19,10 +19,10 @@ TrafficGenerator::TrafficGenerator(std::vector<FlowSpec> flows,
   }
 }
 
-WindowLoad TrafficGenerator::next_window(double dt) {
+void TrafficGenerator::next_window(double dt, WindowLoad& load) {
   GNFV_REQUIRE(dt > 0.0, "next_window: dt must be positive");
-  WindowLoad load;
   load.per_flow_pps.resize(flows_.size());
+  load.total_pps = 0.0;
   // Envelope evaluated at the window midpoint so square-wave edges land
   // where a whole-window average would put them.
   const double envelope =
@@ -34,6 +34,11 @@ WindowLoad TrafficGenerator::next_window(double dt) {
     load.total_pps += rate;
   }
   time_s_ += dt;
+}
+
+WindowLoad TrafficGenerator::next_window(double dt) {
+  WindowLoad load;
+  next_window(dt, load);
   return load;
 }
 

@@ -30,8 +30,10 @@ class TrafficGenerator {
  public:
   TrafficGenerator(std::vector<FlowSpec> flows, std::uint64_t seed);
 
-  /// Advances virtual time by `dt` and returns the offered load in that
-  /// window.
+  /// Advances virtual time by `dt` and writes the offered load in that
+  /// window into `out`, reusing its storage.
+  void next_window(double dt, WindowLoad& out);
+  /// The same, returning a fresh load.
   [[nodiscard]] WindowLoad next_window(double dt);
 
   /// Closes the TCP loop: reports what one flow achieved last window.

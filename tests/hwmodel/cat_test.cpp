@@ -74,6 +74,44 @@ TEST(Cat, PartitionErrors) {
                std::invalid_argument);
 }
 
+TEST(Cat, PartitionAndApportionAgreeForEveryClassCount) {
+  CatAllocator cat(spec());
+  const int total = cat.allocatable_ways();
+  for (int n = 1; n <= total; ++n) {
+    SCOPED_TRACE(n);
+    std::vector<std::vector<double>> shapes(3);
+    for (int i = 0; i < n; ++i) {
+      shapes[0].push_back(1.0);                 // uniform
+      shapes[1].push_back(1.0 / (i + 1.0));     // harmonic
+      shapes[2].push_back(i % 3 == 0 ? 0.0 : 0.37 * i);  // zeros mixed in
+    }
+    if (n == 1) shapes.pop_back();  // {0} sums to zero: refused below
+    for (const auto& fractions : shapes) {
+      const std::vector<int> partitioned = cat.partition(fractions);
+      std::vector<int> apportioned(fractions.size(), -1);
+      CatAllocator::apportion(fractions, total, apportioned);
+      EXPECT_EQ(partitioned, apportioned);
+      EXPECT_EQ(std::accumulate(apportioned.begin(), apportioned.end(), 0),
+                total);
+      for (int i = 0; i < n; ++i)
+        EXPECT_EQ(cat.way_count(i), apportioned[static_cast<std::size_t>(i)]);
+    }
+  }
+}
+
+TEST(Cat, ApportionRefusesWhatPartitionRefuses) {
+  const int total = CatAllocator(spec()).allocatable_ways();
+  const std::vector<std::vector<double>> refused = {
+      {}, {-1.0, 2.0}, {0.0, 0.0}, std::vector<double>(19, 1.0)};
+  for (const auto& fractions : refused) {
+    CatAllocator cat(spec());
+    EXPECT_THROW(cat.partition(fractions), std::invalid_argument);
+    std::vector<int> ways(fractions.size());
+    EXPECT_THROW(CatAllocator::apportion(fractions, total, ways),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Cat, CbmIsContiguousAndSkipsDdio) {
   CatAllocator cat(spec());
   cat.partition({0.5, 0.5});

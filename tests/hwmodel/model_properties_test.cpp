@@ -18,9 +18,10 @@ namespace {
 ChainDeployment deployment(double cores, double freq, double llc,
                            double dma_mib, std::uint32_t batch,
                            double mpps = 1.0, std::uint32_t pkt = 512) {
+  static const std::vector<NfCostProfile> nfs = {
+      nf_catalog::firewall(), nf_catalog::router(), nf_catalog::ids()};
   ChainDeployment dep;
-  dep.nfs = {nf_catalog::firewall(), nf_catalog::router(),
-             nf_catalog::ids()};
+  dep.set_nfs(nfs);
   dep.workload.offered_pps = mpps * 1e6;
   dep.workload.pkt_bytes = pkt;
   dep.cores = cores;

@@ -55,7 +55,8 @@ TEST(Controller, DeploymentsMirrorKnobs) {
   loads[0].pkt_bytes = 512;
   loads[1].offered_pps = 2e6;
   loads[1].pkt_bytes = 128;
-  const auto deployments = controller.deployments(loads);
+  std::vector<hwmodel::ChainDeployment> deployments;
+  controller.deployments(loads, deployments);
   ASSERT_EQ(deployments.size(), 2u);
   EXPECT_EQ(deployments[0].nfs.size(), 2u);
   EXPECT_EQ(deployments[1].nfs.size(), 1u);
@@ -72,9 +73,12 @@ TEST(Controller, PollModePropagates) {
   controller.add_chain("c0", {"firewall"});
   std::vector<hwmodel::ChainWorkload> loads(1);
   loads[0].offered_pps = 1e5;
-  EXPECT_TRUE(controller.deployments(loads)[0].poll_mode);
+  std::vector<hwmodel::ChainDeployment> deployments;
+  controller.deployments(loads, deployments);
+  EXPECT_TRUE(deployments[0].poll_mode);
   controller.set_sched_mode(SchedMode::kHybrid);
-  EXPECT_FALSE(controller.deployments(loads)[0].poll_mode);
+  controller.deployments(loads, deployments);
+  EXPECT_FALSE(deployments[0].poll_mode);
 }
 
 TEST(Controller, CatToggle) {
@@ -87,7 +91,8 @@ TEST(Controller, CatToggle) {
 TEST(Controller, DeploymentsRejectWrongWorkloadCount) {
   OnvmController controller;
   controller.add_chain("c0", {"firewall"});
-  EXPECT_DEATH((void)controller.deployments({}), "workload count");
+  std::vector<hwmodel::ChainDeployment> deployments;
+  EXPECT_DEATH(controller.deployments({}, deployments), "workload count");
 }
 
 TEST(Controller, UnknownNfNameThrowsFromTheCatalogLookup) {
@@ -109,10 +114,41 @@ TEST(Controller, CompositionsCarryCatalogProfilesInChainOrder) {
   EXPECT_EQ(comp.profiles[1].name, "epc");
   EXPECT_EQ(comp.profiles[1].base_cycles,
             hwmodel::nf_catalog::epc().base_cycles);
+  EXPECT_EQ(comp.state_bytes, hwmodel::total_state_bytes(comp.profiles));
   std::vector<hwmodel::ChainWorkload> loads(1);
-  const auto deployments = controller.deployments(loads);
+  std::vector<hwmodel::ChainDeployment> deployments;
+  controller.deployments(loads, deployments);
   ASSERT_EQ(deployments[0].nfs.size(), 2u);
   EXPECT_EQ(deployments[0].nfs[1].state_bytes, comp.profiles[1].state_bytes);
+  EXPECT_EQ(deployments[0].state_bytes, comp.state_bytes);
+}
+
+TEST(Controller, DeploymentsBorrowProfilesThatOutliveLaterChains) {
+  OnvmController controller;
+  controller.add_chain("c0", {"firewall", "router", "ids"});
+  const hwmodel::NfCostProfile* first =
+      controller.compositions()[0].profiles.data();
+  // Growing the composition list moves compositions, not profile buffers.
+  for (int c = 1; c < 9; ++c) controller.add_chain("cN", {"nat"});
+  EXPECT_EQ(controller.compositions()[0].profiles.data(), first);
+
+  std::vector<hwmodel::ChainWorkload> loads(controller.num_chains());
+  std::vector<hwmodel::ChainDeployment> deployments;
+  controller.deployments(loads, deployments);
+  ASSERT_EQ(deployments.size(), 9u);
+  EXPECT_EQ(deployments[0].nfs.data(), first);
+  EXPECT_EQ(deployments[0].nfs.size(), 3u);
+
+  // Refilling for a smaller controller shrinks the reused vector.
+  OnvmController single;
+  single.add_chain("s0", {"epc"});
+  const std::vector<hwmodel::ChainWorkload> one(1);
+  single.deployments(one, deployments);
+  ASSERT_EQ(deployments.size(), 1u);
+  EXPECT_EQ(deployments[0].nfs.data(),
+            single.compositions()[0].profiles.data());
+  EXPECT_EQ(deployments[0].state_bytes,
+            hwmodel::nf_catalog::epc().state_bytes);
 }
 
 TEST(Controller, SchedModeNames) {

@@ -271,6 +271,24 @@ TEST(KeyDomain, NodeKeysThatOnceAbortedAreRejectedByValidate) {
   }
 }
 
+TEST(KeyDomain, NodeFmaxIsBoundedAboveAndTheLadderRefusesHugeSpans) {
+  // node_fmax_ghz=1e9 once passed validate() and aborted after an
+  // overflowing float-to-int cast in the DVFS ladder.
+  expect_rejected_naming_key("node_fmax_ghz", "1e9");
+  const KeyDomain& domain = find_numeric("node_fmax_ghz")->domain;
+  ASSERT_TRUE(std::isfinite(domain.hi));
+  run_windows(with_value("node_fmax_ghz", domain.hi), "fmax upper edge");
+
+  // The ladder refuses the step count itself, before the cast.
+  hwmodel::NodeSpec spec;
+  spec.fmax_ghz = 1e9;
+  EXPECT_DEATH((void)spec.frequency_ladder_ghz(), "step count out of range");
+  spec.fmax_ghz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH((void)spec.frequency_ladder_ghz(), "step count out of range");
+  spec.fmax_ghz = spec.fmin_ghz - 1.0;
+  EXPECT_DEATH((void)spec.frequency_ladder_ghz(), "step count out of range");
+}
+
 TEST(KeyDomain, FlowFieldsParseAsIntegersAndFiniteDoubles) {
   const auto expect_names = [](const std::string& text, const char* field) {
     try {

@@ -100,6 +100,22 @@ TEST(SeriesTable, FromJsonRejectsForeignDocuments) {
                std::invalid_argument);
 }
 
+TEST(SeriesTable, FromCsvRefusesNonFiniteCellsNamingRowAndColumn) {
+  for (const char* cell : {"nan", "inf", "-inf", "", "1x"}) {
+    const std::string csv = std::string("t,gbps\n0,1\n1,") + cell + "\n";
+    try {
+      (void)SeriesTable::from_csv(csv);
+      ADD_FAILURE() << "accepted a '" << cell << "' cell";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("'gbps'"), std::string::npos) << what;
+    }
+  }
+  // Finite strtod syntax still parses.
+  EXPECT_EQ(SeriesTable::from_csv("t\n1e-3\n").at(0, 0), 1e-3);
+}
+
 TEST(SeriesTable, FromCsvRejectsRaggedRows) {
   EXPECT_THROW((void)SeriesTable::from_csv("a,b\n1,2,3\n"),
                std::invalid_argument);
