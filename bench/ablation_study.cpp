@@ -44,8 +44,7 @@ campaign::CampaignSummary sweep(const scenario::ScenarioSpec& spec,
   return runner.run(jobs, /*resume=*/false).summary;
 }
 
-void ablate_replay(const scenario::ScenarioSpec& spec, int jobs,
-                   bench::Perf& perf) {
+void ablate_replay(const scenario::ScenarioSpec& spec, int jobs) {
   std::printf("\n[A] prioritized vs uniform replay (EnergyEfficiency"
               " SLA)\n");
   scenario::ScenarioSpec ee_spec = spec;
@@ -60,13 +59,11 @@ void ablate_replay(const scenario::ScenarioSpec& spec, int jobs,
                     format_double(cell.gbps.mean, 2),
                     format_double(cell.energy_j.mean, 0),
                     format_double(cell.efficiency.mean, 2)});
-    perf.add_windows(spec.eval_windows);
   }
   bench::print_table({"replay", "Gbps", "Energy(J)", "eff"}, rows);
 }
 
-void ablate_reward_shape(const scenario::ScenarioSpec& spec, int jobs,
-                         bench::Perf& perf) {
+void ablate_reward_shape(const scenario::ScenarioSpec& spec, int jobs) {
   std::printf("\n[B] gated (paper) vs shaped rewards (MaxThroughput"
               " SLA)\n");
   scenario::ScenarioSpec maxt_spec = spec;
@@ -81,13 +78,11 @@ void ablate_reward_shape(const scenario::ScenarioSpec& spec, int jobs,
                     format_double(cell.gbps.mean, 2),
                     format_double(cell.energy_j.mean, 0),
                     format_double(cell.sla.mean * 100.0, 0) + "%"});
-    perf.add_windows(spec.eval_windows);
   }
   bench::print_table({"reward", "Gbps", "Energy(J)", "SLA met"}, rows);
 }
 
-void ablate_sched_mode(const scenario::ScenarioSpec& spec,
-                       bench::Perf& perf) {
+void ablate_sched_mode(const scenario::ScenarioSpec& spec) {
   std::printf("\n[C] pure polling vs hybrid callback+polling\n");
   // Identical knobs and traffic; only the scheduling discipline differs.
   const EnvConfig env_config = spec.env_config();
@@ -113,7 +108,6 @@ void ablate_sched_mode(const scenario::ScenarioSpec& spec,
       gbps += outcome.throughput_gbps / 6.0;
       energy += outcome.energy_j / 6.0;
     }
-    perf.add_windows(6);
     rows.push_back({nfvsim::to_string(mode), format_double(gbps, 2),
                     format_double(energy, 0)});
   }
@@ -122,7 +116,7 @@ void ablate_sched_mode(const scenario::ScenarioSpec& spec,
               " duty — the paper's\nhybrid callback design in one table.\n");
 }
 
-void ablate_sdn(const scenario::ScenarioSpec& spec, bench::Perf& perf) {
+void ablate_sdn(const scenario::ScenarioSpec& spec) {
   std::printf("\n[D] SDN flow steering under skewed load (§6 extension)\n");
   const EnvConfig env_config = spec.env_config();
   std::vector<std::vector<std::string>> rows;
@@ -146,7 +140,6 @@ void ablate_sdn(const scenario::ScenarioSpec& spec, bench::Perf& perf) {
       if (steering) (void)sdn.rebalance(obs, gen);
       gbps += outcome.throughput_gbps / windows;
     }
-    perf.add_windows(windows);
     rows.push_back({steering ? "SDN steering on" : "steering off",
                     format_double(gbps, 2),
                     steering ? format("%d moves", sdn.rebalances_performed())
@@ -169,10 +162,9 @@ int main(int argc, char** argv) {
   const scenario::ScenarioSpec spec = scenario::resolve(config);
   const int jobs = static_cast<int>(config.get_int("jobs", 1));
   bench::banner("Ablations", "design-choice studies", cli, spec.name);
-  bench::Perf perf("ablation_study");
-  ablate_replay(spec, jobs, perf);
-  ablate_reward_shape(spec, jobs, perf);
-  ablate_sched_mode(spec, perf);
-  ablate_sdn(spec, perf);
+  ablate_replay(spec, jobs);
+  ablate_reward_shape(spec, jobs);
+  ablate_sched_mode(spec);
+  ablate_sdn(spec);
   return 0;
 }

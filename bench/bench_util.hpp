@@ -1,10 +1,8 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,7 +10,6 @@
 #include "common/config.hpp"
 #include "common/fs_util.hpp"
 #include "common/log.hpp"
-#include "common/json.hpp"
 #include "common/string_util.hpp"
 #include "scenario/presets.hpp"
 #include "telemetry/recorder.hpp"
@@ -20,9 +17,8 @@
 /// \file bench_util.hpp
 /// Shared plumbing for the figure-reproduction binaries: banner printing
 /// (with the resolved scenario name), `help=1` key listings, table
-/// emission, CSV dumps (routed under out/), and per-figure wall-clock
-/// accounting (out/BENCH_<fig>.json) so the perf trajectory accumulates
-/// PR over PR.
+/// emission, and CSV dumps (routed under out/). Timing lives in
+/// perfbench/, not here.
 
 namespace greennfv::bench {
 
@@ -117,171 +113,6 @@ inline bool out_writable() {
     return false;
   }
 }
-
-/// Best-effort current commit id (12 hex chars) for stamping bench
-/// history records: reads .git/HEAD from the working directory or one
-/// level up (build-dir invocations) and follows one "ref: " indirection.
-/// Empty when not run inside a git checkout — history records still
-/// append, they just lose the provenance column.
-inline std::string git_head_sha() {
-  const auto chomp = [](std::string text) {
-    while (!text.empty() && (text.back() == '\n' || text.back() == '\r'))
-      text.pop_back();
-    return text;
-  };
-  for (const char* git_dir : {".git", "../.git"}) {
-    try {
-      std::string head =
-          chomp(read_file(std::string(git_dir) + "/HEAD"));
-      if (head.rfind("ref: ", 0) == 0)
-        head = chomp(read_file(std::string(git_dir) + "/" + head.substr(5)));
-      if (head.size() >= 12) return head.substr(0, 12);
-    } catch (const std::exception&) {
-      // Not a checkout at this level (or a packed ref) — try the next.
-    }
-  }
-  return "";
-}
-
-/// Current UTC time as ISO-8601 ("2026-08-08T12:34:56Z").
-inline std::string utc_timestamp() {
-  const std::time_t now = std::time(nullptr);
-  std::tm utc{};
-  gmtime_r(&now, &utc);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &utc);
-  return buf;
-}
-
-/// Per-figure perf accounting: construct one per bench main with the
-/// figure's file stem, add the simulated control windows the bench
-/// evaluated, and the destructor writes out/BENCH_<fig>.json with the
-/// wall-clock and windows/sec — one data point per run of the figure, the
-/// series future PRs' optimizations are measured against. Every run also
-/// appends one git-sha + timestamp stamped record to
-/// out/bench_history.jsonl and prints warn-only rate deltas against the
-/// previous record for the same figure, so the perf trajectory
-/// accumulates across PRs without gating any of them.
-class Perf {
- public:
-  explicit Perf(std::string figure)
-      : figure_(std::move(figure)),
-        start_(std::chrono::steady_clock::now()) {}
-
-  Perf(const Perf&) = delete;
-  Perf& operator=(const Perf&) = delete;
-
-  void add_windows(double n) { windows_ += n; }
-
-  /// Extra figure-specific metrics (e.g. bench_train's train_steps/sec);
-  /// emitted into the BENCH json after the wall-clock fields, in insertion
-  /// order.
-  void add_metric(const std::string& key, double value) {
-    metrics_.emplace_back(key, value);
-  }
-
-  ~Perf() {
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    try {
-      Json json = Json::object();
-      json.set("figure", figure_);
-      json.set("wall_s", wall_s);
-      json.set("windows", windows_);
-      json.set("windows_per_sec", wall_s > 0.0 ? windows_ / wall_s : 0.0);
-      for (const auto& [key, value] : metrics_) json.set(key, value);
-      const std::string path = out_path("BENCH_" + figure_ + ".json");
-      write_file_atomic(path, json.dump(1) + "\n");
-      std::printf("[perf] %s: %.2f s wall, %.0f windows (%.1f windows/s)"
-                  " -> %s\n",
-                  figure_.c_str(), wall_s, windows_,
-                  wall_s > 0.0 ? windows_ / wall_s : 0.0, path.c_str());
-      append_history(json);
-    } catch (const std::exception& e) {
-      std::printf("[perf] skipped (%s)\n", e.what());
-    }
-  }
-
- private:
-  /// Appends the stamped record to out/bench_history.jsonl and prints
-  /// the deltas of every rate metric (windows_per_sec plus any
-  /// *_per_sec figure metric) against the previous record for this
-  /// figure. Warn-only by design: machine noise must never fail a bench,
-  /// the history just makes drift visible PR over PR.
-  void append_history(const Json& perf_json) {
-    const std::string path = out_path("bench_history.jsonl");
-
-    // Previous record for this figure: last matching line wins. Corrupt
-    // lines (interrupted writes) are skipped, not fatal.
-    Json previous;
-    if (file_exists(path)) {
-      for (const std::string& line : split(read_file(path), '\n')) {
-        if (line.empty()) continue;
-        try {
-          Json parsed = Json::parse(line);
-          if (parsed.has("figure") &&
-              parsed.at("figure").as_string() == figure_) {
-            previous = std::move(parsed);
-          }
-        } catch (const std::exception&) {
-          continue;
-        }
-      }
-    }
-
-    Json record = Json::object();
-    record.set("figure", figure_);
-    record.set("git_sha", git_head_sha());
-    record.set("timestamp", utc_timestamp());
-    for (const auto& [key, value] : perf_json.members()) {
-      if (key != "figure") record.set(key, value);
-    }
-    // Plain append, not write_file_atomic: history accumulates and a
-    // torn tail line only costs that one record on replay.
-    std::FILE* file = std::fopen(path.c_str(), "ab");
-    if (file == nullptr) {
-      std::printf("[history] skipped (cannot append %s)\n", path.c_str());
-      return;
-    }
-    const std::string line = record.dump(0) + "\n";
-    std::fwrite(line.data(), 1, line.size(), file);
-    std::fclose(file);
-    std::printf("[history] appended %s record %s to %s\n", figure_.c_str(),
-                record.at("timestamp").as_string().c_str(), path.c_str());
-
-    if (previous.is_null()) return;
-    for (const auto& [key, value] : record.members()) {
-      if (!value.is_number()) continue;
-      const bool rate =
-          key == "windows_per_sec" ||
-          (key.size() > 8 &&
-           key.compare(key.size() - 8, 8, "_per_sec") == 0);
-      if (!rate || !previous.has(key) || !previous.at(key).is_number())
-        continue;
-      const double before = previous.at(key).as_double();
-      const double after = value.as_double();
-      if (before <= 0.0) continue;
-      const double delta_pct = 100.0 * (after - before) / before;
-      std::printf("[history] %s: %.1f -> %.1f (%+.1f%%) vs %s@%s%s\n",
-                  key.c_str(), before, after, delta_pct,
-                  previous.has("git_sha")
-                      ? previous.at("git_sha").as_string().c_str()
-                      : "?",
-                  previous.has("timestamp")
-                      ? previous.at("timestamp").as_string().c_str()
-                      : "?",
-                  delta_pct < -20.0 ? "  WARNING: >20% slower (warn-only)"
-                                    : "");
-    }
-  }
-
-  std::string figure_;
-  std::chrono::steady_clock::time_point start_;
-  double windows_ = 0.0;
-  std::vector<std::pair<std::string, double>> metrics_;
-};
 
 /// Downsamples a series to `points` rows of (x, value) cells.
 inline std::vector<std::vector<std::string>> series_rows(

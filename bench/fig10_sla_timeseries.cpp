@@ -54,8 +54,6 @@ int main(int argc, char** argv) {
 
   bench::banner("Figure 10", "fixed-SLA behaviour over time", cli,
                 maxt_spec.name);
-  bench::Perf perf("fig10_sla_timeseries");
-  perf.add_windows(2.0 * maxt_spec.eval_windows);
   telemetry::Recorder recorder;
 
   std::printf("[train+run] (a) MaxTh, energy constraint %.1f KJ...\n",

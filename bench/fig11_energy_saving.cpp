@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
   const scenario::ScenarioSpec spec = scenario::resolve(config);
   bench::banner("Figure 11", "energy saving incl. training cost", cli,
                 spec.name);
-  bench::Perf perf("fig11_energy_saving");
-
   // Train while accounting the energy every training episode burned.
   telemetry::Recorder curves;
   GreenNfvTrainer trainer(spec.trainer_config(spec.sla()));
@@ -56,9 +54,6 @@ int main(int argc, char** argv) {
   double e_train_j = 0.0;
   for (const double e : train_energy.values())
     e_train_j += e * spec.steps_per_episode;
-  perf.add_windows(static_cast<double>(spec.episodes) *
-                   spec.steps_per_episode);
-
   // Steady-state powers of the trained policy and the baseline, measured
   // by the campaign runner on the same traffic: a one-cell matrix whose
   // roster reuses the ONE policy metered above.
@@ -92,7 +87,6 @@ int main(int argc, char** argv) {
   const scenario::EvalReport& report = creport.runs.front().report;
   const EvalResult& base = report.models[0].result;
   const EvalResult& green = report.models[1].result;
-  perf.add_windows(2.0 * spec.eval_windows);
 
   // The model "needs to be trained only once before deployment and is run
   // many times": training happens once, the policy then drives every

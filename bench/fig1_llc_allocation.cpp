@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   const Config config = Config::from_args(argc, argv);
   if (bench::handle_cli(config, {})) return 0;
   bench::banner("Figure 1", "LLC partitioning between two chains", config);
-  bench::Perf perf("fig1_llc_allocation");
 
   const NodeModel node;
   // The paper's four allocations (x% to C1, y% to C2).
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
     recorder.record("c2_miss_per10k", idx, c2_miss);
     recorder.record("c1_energy_per_mpkt", idx, c1.energy_per_mpkt_j);
     recorder.record("c2_energy_per_mpkt", idx, c2.energy_per_mpkt_j);
-    perf.add_windows(1);
     ++idx;
   }
 

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   const Config config = Config::from_args(argc, argv);
   if (bench::handle_cli(config, {"window_s", "cores"})) return 0;
   bench::banner("Figure 2", "CPU frequency sweep on a 3-NF chain", config);
-  bench::Perf perf("fig2_cpu_frequency");
   const double window_s = config.get_double("window_s", 10.0);
   const double cores = config.get_double("cores", 2.0);
 
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
                     format_double(eval.power_w, 1)});
     recorder.record("throughput_gbps", freq, eval.total_goodput_gbps);
     recorder.record("energy_j", freq, energy);
-    perf.add_windows(1);
   }
 
   bench::print_table({"GHz", "Gbps", "Energy(J)", "Power(W)"}, rows);

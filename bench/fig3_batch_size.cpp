@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   const Config config = Config::from_args(argc, argv);
   if (bench::handle_cli(config, {"cores", "work_mpkts"})) return 0;
   bench::banner("Figure 3", "packet batch size sweep", config);
-  bench::Perf perf("fig3_batch_size");
   const double cores = config.get_double("cores", 0.4);
   const double work_mpkts = config.get_double("work_mpkts", 10.0);
 
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
     recorder.record("throughput_gbps", batch, gbps);
     recorder.record("energy_kj", batch, energy_kj);
     recorder.record("miss_x1e4", batch, misses_x1e4);
-    perf.add_windows(1);
   }
 
   bench::print_table({"batch", "Gbps", "Energy(KJ)", "Miss(x1e4)"}, rows);

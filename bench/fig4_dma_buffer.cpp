@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   const Config config = Config::from_args(argc, argv);
   if (bench::handle_cli(config, {"cores"})) return 0;
   bench::banner("Figure 4", "DMA buffer size sweep (64B vs 1518B)", config);
-  bench::Perf perf("fig4_dma_buffer");
   const double cores = config.get_double("cores", 2.0);
 
   const NodeModel node;
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
     recorder.record("gbps_1518B", dma, large.gbps);
     recorder.record("j_per_mpkt_64B", dma, small.j_per_mpkt);
     recorder.record("j_per_mpkt_1518B", dma, large.j_per_mpkt);
-    perf.add_windows(2);
   }
 
   bench::print_table({"DMA(MiB)", "Gbps 64B", "Gbps 1518B",

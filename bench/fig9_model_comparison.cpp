@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
   const scenario::ScenarioSpec spec = scenario::resolve(config);
   bench::banner("Figure 9", "model comparison (throughput & energy)",
                 config, spec.name);
-  bench::Perf perf("fig9_model_comparison");
-
   campaign::CampaignSpec camp;
   camp.name = "fig9";
   camp.base = spec;  // the resolved scenario IS the single cell
@@ -69,13 +67,6 @@ int main(int argc, char** argv) {
   if (report.runs.size() > 1) {
     std::printf("\nacross %zu seeds:\n", report.runs.size());
     std::fputs(report.summary.table().c_str(), stdout);
-  }
-  for (const auto& run : report.runs) {
-    // Resumed runs cost no wall-clock; counting them would poison the
-    // windows/sec trajectory.
-    if (!run.from_cache)
-      perf.add_windows(static_cast<double>(run.report.models.size()) *
-                       spec.eval_windows);
   }
 
   std::printf(

@@ -33,9 +33,6 @@ inline core::TrainResult run_training_figure(const std::string& figure,
                                              const std::string& csv_name) {
   const scenario::ScenarioSpec spec = training_scenario(config);
   banner(figure, title, config, spec.name);
-  Perf perf(csv_name);
-  perf.add_windows(static_cast<double>(spec.episodes) *
-                   spec.steps_per_episode);
   const core::TrainerConfig trainer_config =
       spec.trainer_config(spec.sla(sla_kind));
 

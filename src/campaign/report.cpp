@@ -292,8 +292,7 @@ std::string render_pareto_svg(const Json& summary) {
   if (pareto.size() > 1) {
     std::string points;
     for (std::size_t i = 0; i < pareto.size(); ++i) {
-      const Json& cell =
-          cells[static_cast<std::size_t>(pareto[i].as_double())];
+      const Json& cell = cells[pareto[i].as_count(cells.size() - 1, "pareto")];
       if (i > 0) points += ' ';
       points += fmt2(x_at(cell.at("energy_j").at("mean").as_double()));
       points += ',';
@@ -422,8 +421,13 @@ void validate_cellseries(const Json& series, const std::string& where,
     return;
   }
   const std::size_t columns = series.at("columns").size();
-  const auto windows =
-      static_cast<std::size_t>(series.at("windows").as_double());
+  std::size_t windows = 0;
+  try {
+    windows = series.at("windows").as_count(Json::kMaxCount, "windows");
+  } catch (const std::invalid_argument& e) {
+    errors->push_back(where + ": " + e.what());
+    return;
+  }
   if (columns != orchestrator::fleet_series_columns().size()) {
     errors->push_back(where + ": wrong column count");
   }
@@ -620,6 +624,20 @@ std::vector<std::string> validate_report_model(const Json& model) {
   if (!model.has("summary") || !model.at("summary").is_object() ||
       !model.at("summary").has("cells")) {
     errors.push_back("summary missing or malformed");
+  } else if (model.at("summary").has("pareto")) {
+    // Every front entry indexes summary.cells.
+    const std::size_t cells = model.at("summary").at("cells").size();
+    const Json& pareto = model.at("summary").at("pareto");
+    if (cells == 0 && pareto.size() > 0) {
+      errors.push_back("pareto indexes an empty cell list");
+    } else {
+      try {
+        for (const Json& index : pareto.elements())
+          (void)index.as_count(cells - 1, "pareto");
+      } catch (const std::invalid_argument& e) {
+        errors.push_back(e.what());
+      }
+    }
   }
   if (!model.has("runs") || !model.at("runs").is_array()) {
     errors.push_back("runs missing or not an array");
@@ -703,8 +721,10 @@ std::vector<std::string> validate_report_html(const std::string& html) {
 Json generate_report(const std::string& campaign_dir,
                      const std::string& html_path) {
   Json model = build_report_model(campaign_dir);
+  // Rendered first so a model the renderer refuses writes nothing.
+  const std::string html = render_report_html(model);
   write_file_atomic(campaign_dir + "/report.json", model.dump(1) + "\n");
-  write_file_atomic(html_path, render_report_html(model));
+  write_file_atomic(html_path, html);
   return model;
 }
 

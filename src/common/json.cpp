@@ -246,6 +246,19 @@ double Json::as_double() const {
   return number_;
 }
 
+std::size_t Json::as_count(std::size_t max, const std::string& field) const {
+  const double v = as_double();
+  // NaN fails every comparison; floor() rejects fractions; 2^53 keeps a
+  // `max` near SIZE_MAX from rounding up past what the cast can hold.
+  if (!(v >= 0.0 && v <= static_cast<double>(max) && v < 0x1p53) ||
+      std::floor(v) != v) {
+    throw std::invalid_argument(format("Json: %s must be an integer in"
+                                       " [0, %zu], have %.17g",
+                                       field.c_str(), max, v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 const std::string& Json::as_string() const {
   if (kind_ != Kind::kString) kind_error("string", kind_);
   return string_;

@@ -44,6 +44,13 @@ class Json {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] const std::string& as_string() const;
+  /// A count or index read from a file: a finite integral number in
+  /// [0, max]. Anything else throws std::invalid_argument naming `field`.
+  /// kMaxCount bounds counts that have no tighter limit (they are ints in
+  /// memory).
+  static constexpr std::size_t kMaxCount = 2147483647;
+  [[nodiscard]] std::size_t as_count(std::size_t max,
+                                     const std::string& field) const;
 
   // --- arrays --------------------------------------------------------------
   void push_back(Json value);

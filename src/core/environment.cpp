@@ -49,8 +49,6 @@ NfvEnvironment::NfvEnvironment(EnvConfig config, std::uint64_t seed)
               : config_.flows,
           seed));
   engine_->generator().set_rate_profile(config_.rate_profile);
-  last_knobs_.assign(static_cast<std::size_t>(config_.num_chains),
-                     nfvsim::baseline_knobs(config_.spec));
 }
 
 std::size_t NfvEnvironment::state_dim() const {
@@ -72,11 +70,12 @@ const NfvEnvironment::WindowOutcome& NfvEnvironment::run_window(
     const std::vector<nfvsim::ChainKnobs>& knobs) {
   GNFV_REQUIRE(knobs.size() == controller_->num_chains(),
                "run_window: knob count mismatch");
-  last_knobs_.clear();
-  for (std::size_t c = 0; c < knobs.size(); ++c) {
-    last_knobs_.push_back(controller_->apply_knobs(c, knobs[c]));
-  }
+  for (std::size_t c = 0; c < knobs.size(); ++c)
+    controller_->apply_knobs(c, knobs[c]);
+  return measure_window();
+}
 
+const NfvEnvironment::WindowOutcome& NfvEnvironment::measure_window() {
   const double dt = config_.window_s / config_.sub_windows;
   nfvsim::AnalyticEngine::RunSummary& summary = t_summary;
   engine_->run(config_.sub_windows, dt, summary);
@@ -109,9 +108,10 @@ std::vector<double> NfvEnvironment::reset(std::uint64_t seed) {
   // Settle one window at the *current* knob configuration. Algorithm 3's
   // controller runs continuously — episodes are a training artifact — so
   // the state distribution the policy trains on must match the closed loop
-  // it will drive at deployment, not a baseline restart. (The very first
-  // reset settles at the construction-time baseline knobs.)
-  (void)run_window(last_knobs_);
+  // it will drive at deployment, not a baseline restart. The controller
+  // still holds the last applied knobs, so nothing is re-applied; the very
+  // first reset settles at the construction-time baseline knobs.
+  (void)measure_window();
   return encode_state();
 }
 
@@ -129,7 +129,7 @@ rl::Environment::StepResult NfvEnvironment::step(
 }
 
 nfvsim::ChainKnobs NfvEnvironment::mean_knobs() const {
-  GNFV_REQUIRE(!last_knobs_.empty(), "mean_knobs: no window run yet");
+  const std::vector<nfvsim::ChainKnobs>& knobs = last_knobs();
   nfvsim::ChainKnobs mean;
   mean.cores = 0.0;
   mean.freq_ghz = 0.0;
@@ -137,14 +137,14 @@ nfvsim::ChainKnobs NfvEnvironment::mean_knobs() const {
   mean.dma_bytes = 0;
   double dma = 0.0;
   double batch = 0.0;
-  for (const auto& k : last_knobs_) {
+  for (const auto& k : knobs) {
     mean.cores += k.cores;
     mean.freq_ghz += k.freq_ghz;
     mean.llc_fraction += k.llc_fraction;
     dma += static_cast<double>(k.dma_bytes);
     batch += k.batch;
   }
-  const auto n = static_cast<double>(last_knobs_.size());
+  const auto n = static_cast<double>(knobs.size());
   mean.cores /= n;
   mean.freq_ghz /= n;
   mean.llc_fraction /= n;

@@ -78,8 +78,9 @@ class NfvEnvironment final : public rl::Environment {
   [[nodiscard]] const WindowOutcome& last_outcome() const {
     return last_outcome_;
   }
+  /// The knobs the controller applied last (baseline before any window).
   [[nodiscard]] const std::vector<nfvsim::ChainKnobs>& last_knobs() const {
-    return last_knobs_;
+    return controller_->knobs();
   }
   [[nodiscard]] nfvsim::OnvmController& controller() { return *controller_; }
   /// The live traffic generator (SDN flow steering hooks in here).
@@ -109,9 +110,10 @@ class NfvEnvironment final : public rl::Environment {
   StateCodec state_codec_;
   ActionCodec action_codec_;
   WindowOutcome last_outcome_;
-  std::vector<nfvsim::ChainKnobs> last_knobs_;
   int steps_in_episode_ = 0;
 
+  /// Runs one window at the controller's current knobs into last_outcome_.
+  const WindowOutcome& measure_window();
   [[nodiscard]] std::vector<double> encode_state() const;
 };
 

@@ -70,6 +70,10 @@ class OnvmController {
   [[nodiscard]] const ChainKnobs& knobs(std::size_t chain_index) const {
     return knobs_.at(chain_index);
   }
+  /// The applied knobs of every chain, in chain order.
+  [[nodiscard]] const std::vector<ChainKnobs>& knobs() const {
+    return knobs_;
+  }
 
   /// Enables/disables CAT partitioning (baseline runs without it).
   void set_use_cat(bool use_cat) { use_cat_ = use_cat; }

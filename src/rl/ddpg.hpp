@@ -87,8 +87,8 @@ class DdpgAgent {
 
   /// The original per-sample implementation (6·N matvec passes per
   /// minibatch). Numerically equivalent to train_step — kept as the
-  /// reference the batched-equivalence suite and bench_train compare
-  /// against; not a hot path.
+  /// reference the batched-equivalence suite compares against; not a hot
+  /// path.
   TrainStats train_step_reference(ReplayInterface& replay, Rng& rng);
 
   [[nodiscard]] const DdpgConfig& config() const { return config_; }

@@ -145,7 +145,7 @@ SeriesTable SeriesTable::from_json(const Json& json) {
     columns.push_back(name.as_string());
   }
   SeriesTable table(std::move(columns));
-  const auto rows = static_cast<std::size_t>(json.at("rows").as_double());
+  const std::size_t rows = json.at("rows").as_count(Json::kMaxCount, "rows");
   const Json& data = json.at("data");
   if (data.size() != table.num_columns()) {
     throw std::invalid_argument(

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/aggregator.hpp"
@@ -183,6 +184,31 @@ TEST_F(ReportTest, ValidatorsRejectTamperedArtifacts) {
   EXPECT_TRUE(validate_report_model(bad_model).empty());
   bad_model.set("schema", "something.else");
   EXPECT_FALSE(validate_report_model(bad_model).empty());
+}
+
+TEST_F(ReportTest, OutOfRangeParetoIndexIsRefused) {
+  const std::string dir = run_tiny_campaign("pareto");
+  Json manifest = Json::parse(read_file(dir + "/manifest.json"));
+  Json summary = manifest.at("summary");
+  Json pareto = Json::array();
+  pareto.push_back(0);
+  pareto.push_back(100000);
+  summary.set("pareto", std::move(pareto));
+  manifest.set("summary", std::move(summary));
+  write_file_atomic(dir + "/manifest.json", manifest.dump(1) + "\n");
+
+  // The validator names the field, and rendering refuses before writing.
+  const std::vector<std::string> errors =
+      validate_report_model(build_report_model(dir));
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors.front().find("pareto"), std::string::npos);
+  try {
+    (void)generate_report(dir, dir + "/bad.html");
+    FAIL() << "an out-of-range pareto index rendered";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("pareto"), std::string::npos);
+  }
+  EXPECT_FALSE(file_exists(dir + "/bad.html"));
 }
 
 TEST_F(ReportTest, BuildReportModelWithoutSeriesStillRenders) {

@@ -132,5 +132,22 @@ TEST(Environment, MeanKnobsAverages) {
   EXPECT_NEAR(env.mean_knobs().cores, 2.0, 1e-9);
 }
 
+TEST(Environment, ResetKeepsEveryChainsKnobs) {
+  EnvConfig config = small_config();
+  config.num_chains = 3;
+  NfvEnvironment env(config, 21);
+  (void)env.step(std::vector<double>(env.action_dim(), 0.5));
+  const std::vector<nfvsim::ChainKnobs> before = env.last_knobs();
+  ASSERT_EQ(before.size(), 3u);
+  (void)env.reset(5);
+  // The settle window re-applies nothing: the applied knobs survive it.
+  ASSERT_EQ(env.last_knobs().size(), 3u);
+  for (std::size_t c = 0; c < before.size(); ++c) {
+    EXPECT_EQ(env.last_knobs()[c].cores, before[c].cores);
+    EXPECT_EQ(env.last_knobs()[c].batch, before[c].batch);
+  }
+  EXPECT_GT(env.mean_knobs().cores, 0.0);
+}
+
 }  // namespace
 }  // namespace greennfv::core

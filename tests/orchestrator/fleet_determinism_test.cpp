@@ -65,6 +65,19 @@ TEST(FleetDeterminism, EventEngineMatchesReferenceEngineAcrossPolicies) {
           << "policy " << policy << " seed " << seed;
     }
   }
+  // The mega-fleet shape (one flow per chain, the preset's own policy),
+  // shrunk to where the reference engine stays cheap: ~2.9k arrivals.
+  scenario::ScenarioSpec mega = scenario::preset("mega-fleet");
+  mega.num_nodes = 200;
+  mega.fleet.arrival_rate = 50.0;
+  mega.fleet.horizon_windows = 60;
+  FleetOrchestrator event_engine(mega);
+  const FleetTimeline reference = oracle::build_reference_timeline(mega);
+  EXPECT_EQ(timeline_to_text(event_engine.timeline(), mega.num_nodes),
+            timeline_to_text(reference, mega.num_nodes))
+      << "mega-fleet shape";
+  EXPECT_GT(event_engine.timeline().migrations, 0);
+  EXPECT_GT(event_engine.timeline().wakeups, 0);
 }
 
 /// Byte-exact serialization of a campaign's run artifacts (results and

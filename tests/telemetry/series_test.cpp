@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -90,6 +91,21 @@ TEST(SeriesTable, CsvRoundTripIsBitExact) {
   EXPECT_EQ(back.at(0, 1), table.at(0, 1));
   EXPECT_EQ(back.at(1, 0), table.at(1, 0));
   EXPECT_EQ(back.to_json().dump(), table.to_json().dump());
+}
+
+TEST(SeriesTable, FromJsonRefusesARowCountThatIsNotACount) {
+  SeriesTable table(abc());
+  table.append_row({1.0, 2.0, 3.0});
+  for (const double rows : {-1.0, 1.5, std::nan("")}) {
+    Json json = table.to_json();
+    json.set("rows", rows);
+    try {
+      (void)SeriesTable::from_json(json);
+      FAIL() << "rows=" << rows << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rows"), std::string::npos);
+    }
+  }
 }
 
 TEST(SeriesTable, FromJsonRejectsForeignDocuments) {
